@@ -70,7 +70,15 @@ class HttpChatClient(ChatClient):
             raise ChatTransportError(f"chat request failed: {endpoint} ({exc})") from exc
         if response.status_code != 200:
             raise ChatTransportError(f"chat endpoint error: {endpoint} returned {response.status_code}")
-        return response.json()["message"]["content"]
+        try:
+            content = response.json()["message"]["content"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ChatTransportError(f"chat endpoint returned a malformed body: {endpoint} ({exc!r})") from exc
+        if not isinstance(content, str):
+            raise ChatTransportError(
+                f"chat endpoint returned a malformed body: {endpoint} (content is {type(content).__name__})"
+            )
+        return content
 
     def identity(self) -> str:
         return f"http:{self.base_url}:{self.model}"

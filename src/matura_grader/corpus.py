@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import re
-import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -44,6 +43,9 @@ TEXT_TYPES = (
 
 _HYPHEN_BREAK = re.compile(r"(?<=\w)-\n(?=\w)")
 _PARAGRAPH_SPLIT = re.compile(r"\n\s*\n")
+# Unicode category Cc is fixed at exactly U+0000-U+001F and U+007F-U+009F;
+# the newline is kept.
+_CONTROL = re.compile(r"[\x00-\x09\x0b-\x1f\x7f-\x9f]")
 
 
 def normalize_text(raw: str) -> str:
@@ -54,7 +56,7 @@ def normalize_text(raw: str) -> str:
     paragraph breaks as single blank lines. Idempotent.
     """
     text = raw.replace("\r\n", "\n").replace("\r", "\n")
-    text = "".join(ch for ch in text if ch == "\n" or unicodedata.category(ch) != "Cc")
+    text = _CONTROL.sub("", text)
     text = _HYPHEN_BREAK.sub("", text)
     paragraphs = [" ".join(p.split()) for p in _PARAGRAPH_SPLIT.split(text)]
     return "\n\n".join(p for p in paragraphs if p)
@@ -133,6 +135,13 @@ class Corpus:
     def by_id(self) -> dict[str, ExamRecord]:
         return {r.id: r for r in self.records}
 
+    @cached_property
+    def _pools(self) -> dict[tuple[int, str], tuple[ExamRecord, ...]]:
+        pools: dict[tuple[int, str], list[ExamRecord]] = {}
+        for record in sorted(self.records, key=lambda r: r.id):
+            pools.setdefault((record.year, record.pack), []).append(record)
+        return {key: tuple(records) for key, records in pools.items()}
+
     def __len__(self) -> int:
         return len(self.records)
 
@@ -144,10 +153,10 @@ class Corpus:
 
     def pool(self, year: int, pack: str) -> tuple[ExamRecord, ...]:
         """All exams of one (year, pack) task pack, in id order."""
-        return tuple(sorted((r for r in self.records if r.year == year and r.pack == pack), key=lambda r: r.id))
+        return self._pools.get((year, pack), ())
 
     def packs(self) -> tuple[tuple[int, str], ...]:
-        return tuple(sorted({(r.year, r.pack) for r in self.records}))
+        return tuple(sorted(self._pools))
 
     def to_json(self) -> str:
         """Canonical serialization; byte-stable across reloads of one directory."""

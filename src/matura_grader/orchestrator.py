@@ -253,16 +253,22 @@ def serialize_assessment(assessment: ModelAssessment) -> str:
 
 
 def _first_json_object(raw: str) -> dict | None:
+    """The first JSON object that decodes from some ``{`` of ``raw``.
+
+    A candidate that does not decode is skipped, including one whose integer
+    exceeds the interpreter's digit limit (a ``ValueError``) or whose
+    nesting exceeds the recursion limit."""
     decoder = json.JSONDecoder()
-    for start, char in enumerate(raw):
-        if char != "{":
-            continue
+    start = raw.find("{")
+    while start != -1:
         try:
-            obj, _ = decoder.raw_decode(raw[start:])
-        except json.JSONDecodeError:
-            continue
-        if isinstance(obj, dict):
-            return obj
+            obj, _ = decoder.raw_decode(raw, start)
+        except (ValueError, RecursionError):
+            pass
+        else:
+            if isinstance(obj, dict):
+                return obj
+        start = raw.find("{", start + 1)
     return None
 
 

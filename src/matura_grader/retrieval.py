@@ -1,11 +1,16 @@
 """Context selection for a candidate exam.
 
-A corpus-backed similarity index (exact full scan, the corpus is ~100 texts)
-plus the three reference-selection strategies: the pack's best/most-average/
-worst exams as a fixed context, the most similar texts by embedding cosine,
-and descending-similarity selection until every final grade is covered n
-times. Noise documents of random German words can be appended to any
-selection.
+A corpus-backed similarity index plus the three reference-selection
+strategies: the pack's best/most-average/worst exams as a fixed context, the
+most similar texts by embedding cosine, and descending-similarity selection
+until every final grade is covered n times. Noise documents of random German
+words can be appended to any selection.
+
+The index is an exact full scan of the candidate's pool. Each vector's norm
+is computed once at build, and each pair costs one C-level dot product over
+the same products and left-to-right sum as ``cosine_similarity``, so every
+similarity is bit-identical to it. numpy is left out on purpose (see
+``TaskTextIndex``).
 
 Embeddings come from a remote HTTP endpoint or from a deterministic
 hash-based fallback so the whole pipeline runs offline.
@@ -20,6 +25,7 @@ import re
 import zlib
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from operator import mul
 from pathlib import Path
 
 import requests
@@ -56,11 +62,19 @@ def cosine_similarity(a, b) -> float:
     return dot / (norm_a * norm_b)
 
 
+def _norm(values: tuple[float, ...]) -> float:
+    """The Euclidean norm exactly as ``cosine_similarity`` computes it."""
+    return math.sqrt(sum(x * x for x in values))
+
+
 class FallbackEmbedder:
     """Deterministic offline embedder: hashed bag-of-token counts.
 
     Same text always maps to the same vector; token overlap shows up as
-    cosine similarity, which is all the selection strategies need.
+    cosine similarity, which is all the selection strategies need. Each
+    distinct token is hashed once per instance and its bucket remembered;
+    the memo only ever gains the same value for a key, so concurrent
+    ``embed`` calls may share an instance.
     """
 
     source = "deterministic_fallback"
@@ -69,15 +83,20 @@ class FallbackEmbedder:
         if dim < 1:
             raise ValueError("embedding dimension must be >= 1")
         self.dim = dim
+        self._buckets: dict[str, int] = {}
 
     def embed(self, text: str) -> EmbeddingVector:
         tokens = _TOKEN.findall(normalize_text(text).lower())
         if not tokens:
             raise EmbeddingError("cannot embed empty text")
         counts = [0.0] * self.dim
+        buckets = self._buckets
         for token in tokens:
-            digest = hashlib.sha256(token.encode("utf-8")).digest()
-            counts[int.from_bytes(digest[:4], "big") % self.dim] += 1.0
+            bucket = buckets.get(token)
+            if bucket is None:
+                digest = hashlib.sha256(token.encode("utf-8")).digest()
+                bucket = buckets[token] = int.from_bytes(digest[:4], "big") % self.dim
+            counts[bucket] += 1.0
         return EmbeddingVector(tuple(counts), self.source)
 
 
@@ -104,25 +123,43 @@ class RemoteEmbedder:
             raise EmbeddingError(f"embedding endpoint unreachable: {endpoint} ({exc})") from exc
         if response.status_code != 200:
             raise EmbeddingError(f"embedding endpoint error: {endpoint} returned {response.status_code}")
-        values = response.json()["embeddings"][0]
-        return EmbeddingVector(tuple(float(v) for v in values), self.source)
+        try:
+            values = tuple(float(v) for v in response.json()["embeddings"][0])
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise EmbeddingError(f"embedding endpoint returned a malformed body: {endpoint} ({exc!r})") from exc
+        if not values or not all(map(math.isfinite, values)):
+            raise EmbeddingError(f"embedding endpoint returned a malformed body: {endpoint} (empty or non-finite vector)")
+        return EmbeddingVector(values, self.source)
+
+
+# (record, embedding values, norm of the values)
+_PoolEntry = tuple[ExamRecord, tuple[float, ...], float]
 
 
 class TaskTextIndex:
     """Immutable similarity index over task texts, one pool per
-    (year, pack, task position). Queries are exact full scans."""
+    (year, pack, task position). Queries are exact full scans.
 
-    def __init__(self, embedder, pools: dict[tuple[int, str, int], tuple[tuple[ExamRecord, EmbeddingVector], ...]]):
+    Each pool entry keeps its vector's norm, computed once at build with
+    the expression ``cosine_similarity`` uses; a query then costs one
+    ``sum(map(mul, ...))`` per pair. The products and their left-to-right
+    sum are the operations of ``cosine_similarity``, so every similarity,
+    and with it every ranking and tie, is bit-identical to the scalar
+    oracle. The scan stays in pure Python on purpose: importing numpy adds
+    about 13 MiB of resident memory, some 30% of a 300-exam mock run's peak."""
+
+    def __init__(self, embedder, pools: dict[tuple[int, str, int], tuple[_PoolEntry, ...]]):
         self._embedder = embedder
         self._pools = pools
 
     @classmethod
     def build(cls, corpus: Corpus, embedder) -> "TaskTextIndex":
-        pools: dict[tuple[int, str, int], list[tuple[ExamRecord, EmbeddingVector]]] = {}
+        pools: dict[tuple[int, str, int], list[_PoolEntry]] = {}
         for record in sorted(corpus.records, key=lambda r: r.id):
             for position in (1, 2):
                 key = (record.year, record.pack, position)
-                pools.setdefault(key, []).append((record, embedder.embed(record.task(position).body)))
+                values = embedder.embed(record.task(position).body).values
+                pools.setdefault(key, []).append((record, values, _norm(values)))
         return cls(embedder, {key: tuple(entries) for key, entries in pools.items()})
 
     def pool_size(self, year: int, pack: str, position: int) -> int:
@@ -134,18 +171,22 @@ class TaskTextIndex:
         """All pool texts ranked by similarity to the candidate's task text,
         candidate excluded; ties broken by id."""
         pool = self._pools.get((year, pack, position), ())
-        query_vector = None
-        for record, vector in pool:
+        for record, values, norm in pool:
             if record.id == candidate.id:
-                query_vector = vector
+                query_values, query_norm = values, norm
                 break
-        if query_vector is None:
-            query_vector = self._embedder.embed(candidate.task(position).body)
-        ranked = [
-            (record, cosine_similarity(query_vector, vector))
-            for record, vector in pool
-            if record.id != candidate.id
-        ]
+        else:
+            query_values = self._embedder.embed(candidate.task(position).body).values
+            query_norm = _norm(query_values)
+        ranked = []
+        for record, values, norm in pool:
+            if record.id == candidate.id:
+                continue
+            if len(query_values) != len(values):
+                raise ValueError(f"vector length mismatch: {len(query_values)} vs {len(values)}")
+            if query_norm == 0.0 or norm == 0.0:
+                raise ValueError("cosine similarity undefined for zero-norm vector")
+            ranked.append((record, sum(map(mul, query_values, values)) / (query_norm * norm)))
         ranked.sort(key=lambda item: (-item[1], item[0].id))
         return ranked
 

@@ -2,12 +2,17 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import shutil
+import unicodedata
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matura_grader.corpus import (
     TEXT_TYPES,
+    Corpus,
     load_corpus,
     load_rubrics,
     normalize_text,
@@ -52,6 +57,52 @@ def test_normalize_idempotent_and_never_longer():
         once = normalize_text(raw)
         assert normalize_text(once) == once
         assert len(once) <= len(raw)
+
+
+_CC = [chr(code) for code in range(0x110000) if unicodedata.category(chr(code)) == "Cc"]
+
+
+def _normalize_by_category(raw: str) -> str:
+    """normalize_text with the control characters removed one character at a
+    time by Unicode category, the reference for the precompiled pattern."""
+    text = raw.replace("\r\n", "\n").replace("\r", "\n")
+    text = "".join(ch for ch in text if ch == "\n" or unicodedata.category(ch) != "Cc")
+    text = re.sub(r"(?<=\w)-\n(?=\w)", "", text)
+    paragraphs = [" ".join(p.split()) for p in re.split(r"\n\s*\n", text)]
+    return "\n\n".join(p for p in paragraphs if p)
+
+
+def test_control_category_is_the_65_code_points():
+    assert _CC == [chr(c) for c in range(0x00, 0x20)] + [chr(c) for c in range(0x7F, 0xA0)]
+    assert len(_CC) == 65
+
+
+def test_normalize_removes_every_control_character_but_newline():
+    everything = "a" + "b".join(_CC) + "c"
+    assert normalize_text(everything) == _normalize_by_category(everything)
+    assert not any(ch in normalize_text(everything) for ch in _CC if ch != "\n")
+
+
+_PIECES = st.sampled_from(
+    _CC + ["\r\n", "\u0085", "\u00a0", "\u2028", "-\n", "Zusammen-\nfassung", "wort", "ÄÖÜß", " ", "\n\n", "-"]
+)
+
+
+@settings(deadline=None)
+@given(st.one_of(st.lists(_PIECES, max_size=40).map("".join), st.text()))
+def test_normalize_matches_per_character_category_filter(raw):
+    assert normalize_text(raw) == _normalize_by_category(raw)
+
+
+def test_pool_groups_by_pack_in_id_order(corpus_30):
+    shuffled = list(corpus_30.records)
+    random.Random(4).shuffle(shuffled)
+    corpus = Corpus(records=tuple(shuffled))
+    for year, pack in corpus.packs():
+        expected = tuple(sorted((r for r in shuffled if (r.year, r.pack) == (year, pack)), key=lambda r: r.id))
+        assert corpus.pool(year, pack) == expected
+    assert corpus.pool(1999, "none") == ()
+    assert corpus.packs() == tuple(sorted({(r.year, r.pack) for r in shuffled}))
 
 
 def test_load_corpus_on_synthetic_directory(synthetic_dirs_30, corpus_30):

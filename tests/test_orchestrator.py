@@ -3,12 +3,15 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matura_grader.clients import MockChatClient, ScriptedChatClient, assessment_json
 from matura_grader.corpus import RubricSet
 from matura_grader.grading import DIMENSIONS, FAIL
 from matura_grader.orchestrator import (
     AwaitModelGuess,
+    _first_json_object,
     CalibrationItem,
     CalibrationUser,
     CandidateUser,
@@ -269,6 +272,61 @@ def test_parse_assessment_no_json():
     assessment = parse_assessment("Leider kann ich das nicht bewerten.")
     assert not assessment.valid
     assert assessment.failure_reason == "no JSON object found"
+
+
+def _first_json_object_by_slicing(raw: str) -> dict | None:
+    """Reference extractor: decode a fresh copy of the text from every brace."""
+    decoder = json.JSONDecoder()
+    for start, char in enumerate(raw):
+        if char != "{":
+            continue
+        try:
+            obj, _ = decoder.raw_decode(raw[start:])
+        except (ValueError, RecursionError):
+            continue
+        if isinstance(obj, dict):
+            return obj
+    return None
+
+
+_SHEET = assessment_json({d: 2 for d in DIMENSIONS}, {d: 6 for d in DIMENSIONS})
+_JSONISH = st.sampled_from(
+    [
+        "{", "}", "[", "]", ":", ",", " ", "\n", '"', "\\", "```json\n", "```", "Bewertung:",
+        '"task1"', '"task2"', '"content"', '"feedback"', "1", "2.5", "-", "null", "true", "NaN",
+        "Infinity", "9" * 5000, _SHEET, _SHEET[:40], _SHEET[40:],
+    ]
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(
+        st.text(),
+        st.lists(_JSONISH, max_size=30).map("".join),
+        st.tuples(st.text(), _JSON_VALUES.map(json.dumps), st.text()).map("".join),
+    )
+)
+def test_parse_assessment_never_raises_and_extractor_matches_slicing(raw):
+    assert repr(_first_json_object(raw)) == repr(_first_json_object_by_slicing(raw))
+    assessment = parse_assessment(raw)
+    assert assessment.raw == raw
+
+
+@pytest.mark.parametrize(
+    "raw",
+    ['{"task1": ' + "1" * 5000 + "}", '{"a": ' * 5000],
+    ids=["past_integer_digit_limit", "past_recursion_limit"],
+)
+def test_parse_assessment_skips_undecodable_candidates(raw):
+    assessment = parse_assessment(raw + " " + _SHEET)
+    assert assessment.task1 == {d: 2 for d in DIMENSIONS}
+    assert assessment.failure_reason.startswith("grade out of range: task2.content")
 
 
 def test_parse_serialize_round_trip():

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
+from matura_grader.corpus import load_corpus
 from matura_grader.retrieval import (
     ALL_GRADES,
     BEST_AVERAGE_WORST,
@@ -11,6 +13,7 @@ from matura_grader.retrieval import (
     MOST_SIMILAR,
     ContextStrategy,
     EmbeddingError,
+    EmbeddingVector,
     FallbackEmbedder,
     TaskTextIndex,
     build_context,
@@ -21,6 +24,7 @@ from matura_grader.retrieval import (
     select_most_similar,
     select_range_of_examples,
 )
+from matura_grader.synthetic import make_synthetic
 
 from conftest import make_body, make_corpus, make_record
 
@@ -211,6 +215,103 @@ def test_most_similar_matches_full_scan_oracle(embedder):
                 scored.append((record.id, cosine_similarity(query, embedder.embed(record.task(position).body))))
             scored.sort(key=lambda item: (-item[1], item[0]))
             assert got == scored[:k]
+
+
+@pytest.fixture(scope="module")
+def corpus_60_with_ties(tmp_path_factory):
+    """A synthetic corpus of 60 exams plus two exams whose task bodies equal
+    those of ``exam-004``, so every query meets exact similarity ties."""
+    exam_dir, _ = make_synthetic(tmp_path_factory.mktemp("corpus60"), n=60, seed=3)
+    corpus = load_corpus(exam_dir)
+    source = corpus.get("exam-004")
+    twins = [replace(source, id=exam_id) for exam_id in ("tie-a", "tie-b")]
+    return make_corpus(corpus.records + tuple(twins))
+
+
+def _full_scan(corpus, candidate, position):
+    """The reference ranking: cosine_similarity over freshly embedded texts."""
+    embedder = FallbackEmbedder()
+    query = embedder.embed(candidate.task(position).body)
+    scored = [
+        (record.id, cosine_similarity(query, embedder.embed(record.task(position).body)))
+        for record in corpus.pool(candidate.year, candidate.pack)
+        if record.id != candidate.id
+    ]
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return scored
+
+
+def test_index_query_equals_full_scan_with_ties(corpus_60_with_ties):
+    corpus = corpus_60_with_ties
+    index = TaskTextIndex.build(corpus, FallbackEmbedder())
+    ties_seen = 0
+    for candidate in corpus.records:
+        for position in (1, 2):
+            ranked = index.query(candidate.year, candidate.pack, position, candidate)
+            got = [(record.id, similarity) for record, similarity in ranked]
+            assert got == _full_scan(corpus, candidate, position)
+            similarity = dict(got)
+            if "tie-a" in similarity and "tie-b" in similarity:
+                assert similarity["tie-a"] == similarity["tie-b"]
+                ties_seen += 1
+    assert ties_seen > 0
+
+
+def test_index_query_non_member_candidate(corpus_60_with_ties):
+    corpus = corpus_60_with_ties
+    index = TaskTextIndex.build(corpus, FallbackEmbedder())
+    member = corpus.get("exam-010")
+    outsider = replace(
+        member,
+        id="outsider",
+        tasks=tuple(replace(task, body=make_body(f"outsider-{i}", 150)) for i, task in enumerate(member.tasks)),
+    )
+    for position in (1, 2):
+        got = [(r.id, sim) for r, sim in index.query(member.year, member.pack, position, outsider)]
+        assert got == _full_scan(corpus, outsider, position)
+        assert len(got) == index.pool_size(member.year, member.pack, position)
+
+
+class _TableEmbedder:
+    """Maps a task body to a fixed vector."""
+
+    source = "table"
+
+    def __init__(self, table):
+        self.table = table
+
+    def embed(self, text):
+        return EmbeddingVector(tuple(self.table[text]), self.source)
+
+
+def test_index_query_errors_match_cosine_similarity():
+    table = {"eins": (1.0, 2.0), "drei": (3.0, 1.0), "null": (0.0, 0.0), "kurz": (1.0,)}
+    corpus = make_corpus(
+        [
+            make_record("v-1", (1,) * 4, (1,) * 4, body1="eins", body2="eins"),
+            make_record("v-2", (2,) * 4, (2,) * 4, body1="null", body2="kurz"),
+            make_record("v-3", (3,) * 4, (3,) * 4, body1="drei", body2="drei"),
+        ]
+    )
+    index = TaskTextIndex.build(corpus, _TableEmbedder(table))
+    with pytest.raises(ValueError, match="zero-norm"):
+        cosine_similarity(table["eins"], table["null"])
+    with pytest.raises(ValueError, match="zero-norm"):
+        index.query(2023, "pack-a", 1, corpus.get("v-1"))
+    with pytest.raises(ValueError, match="zero-norm"):
+        index.query(2023, "pack-a", 1, corpus.get("v-2"))
+    with pytest.raises(ValueError, match="length mismatch: 2 vs 1"):
+        index.query(2023, "pack-a", 2, corpus.get("v-1"))
+    with pytest.raises(ValueError, match="length mismatch: 1 vs 2"):
+        index.query(2023, "pack-a", 2, corpus.get("v-2"))
+
+
+def test_fallback_embedder_memo_keeps_vectors(corpus_60_with_ties):
+    bodies = [record.task(position).body for record in corpus_60_with_ties.records for position in (1, 2)]
+    warm = FallbackEmbedder()
+    for body in bodies:
+        warm.embed(body)
+    assert [warm.embed(body) for body in bodies] == [FallbackEmbedder().embed(body) for body in bodies]
 
 
 def test_most_similar_small_pool_warns(embedder):

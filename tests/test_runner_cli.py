@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -271,3 +275,16 @@ def test_cli_unknown_candidate_is_fatal(synthetic_dirs_25, tmp_path, capsys):
         f"corpus.path = {exam_dir}\nrubric.path = {rubric_dir}\n", encoding="utf-8"
     )
     assert main(["context", "--config", str(config_file), "--candidate", "fehlt"]) == 2
+
+
+def test_importing_runner_loads_no_numpy():
+    # A numpy import adds about 13 MiB of resident memory to every run, more
+    # than the pure-Python similarity scan saves; keep it out of the pipeline.
+    import matura_grader
+
+    src = str(Path(matura_grader.__file__).resolve().parents[1])
+    probe = "import sys, matura_grader.runner; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

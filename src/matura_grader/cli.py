@@ -21,7 +21,6 @@ from .runner import (
     rescore_predictions,
     run_experiment,
     technique_plan,
-    _needs_index,
 )
 from .retrieval import TaskTextIndex
 from .synthetic import make_synthetic
@@ -73,7 +72,7 @@ def _cmd_context(args) -> int:
     candidate = corpus.get(args.candidate)
     rubrics = load_rubrics(cfg.rubric_path)
     plan = technique_plan(cfg)
-    index = TaskTextIndex.build(corpus, make_embedder(cfg)) if _needs_index(plan) else None
+    index = TaskTextIndex.build(corpus, make_embedder(cfg)) if plan.needs_index else None
     manifest = load_exemplar_manifest(cfg.exemplars_path)
     _, selection, calibration = build_candidate_script(cfg, corpus, index, rubrics, candidate, plan, manifest)
 

@@ -110,6 +110,20 @@ _KEYWORDS = (
 ALWAYS_GRADE = "always_grade"
 ECHO_GOLD = "echo_gold"
 KEYWORD_HEURISTIC = "keyword_heuristic"
+MOCK_POLICIES = (ALWAYS_GRADE, ECHO_GOLD, KEYWORD_HEURISTIC)
+
+
+def parse_policy(text: str) -> tuple[str, int]:
+    """A mock policy spec as (policy, grade): ``echo_gold``,
+    ``keyword_heuristic``, ``always_grade`` (grade 3) or ``always_grade:<1-5>``."""
+    policy, colon, grade = text.partition(":")
+    grade_ok = not colon or (policy == ALWAYS_GRADE and grade in ("1", "2", "3", "4", "5"))
+    if policy not in MOCK_POLICIES or not grade_ok:
+        raise ValueError(
+            f"malformed mock policy {text!r}; expected {ECHO_GOLD}, {KEYWORD_HEURISTIC}, "
+            f"{ALWAYS_GRADE} or {ALWAYS_GRADE}:<1-5>"
+        )
+    return policy, int(grade) if colon else 3
 
 
 class MockChatClient(ChatClient):
@@ -123,7 +137,7 @@ class MockChatClient(ChatClient):
     """
 
     def __init__(self, policy: str, grade: int = 3, corpus: Corpus | None = None):
-        if policy not in (ALWAYS_GRADE, ECHO_GOLD, KEYWORD_HEURISTIC):
+        if policy not in MOCK_POLICIES:
             raise ValueError(f"unknown mock policy {policy!r}")
         if policy == ALWAYS_GRADE and grade not in (1, 2, 3, 4, 5):
             raise ValueError(f"always_grade needs a grade in 1..5, got {grade}")

@@ -8,72 +8,46 @@ hashed into each report so results stay traceable to exact settings.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-TECHNIQUES = (
-    "baseline",
-    "rag_best_avg_worst",
-    "rag_most_similar",
-    "rag_range",
-    "few_all_grades",
-    "few_best_worst",
-    "few_mixed",
-    "cot_best_worst",
-)
+from .clients import parse_policy
+from .orchestrator import ORDERING_BASE, ORDERING_SCHEMES
+from .retrieval import BASELINE, BEST_AVERAGE_WORST, MOST_SIMILAR, RANGE_OF_EXAMPLES
 
-ORDERINGS = ("base", "inverted", "mixed15243", "mixed153")
+BEST_WORST_LEVELS = (1, 3, 5)
+ALL_GRADE_LEVELS = (1, 2, 3, 4, 5)
 
-# key -> (default, help)
-DEFAULTS: dict[str, tuple[str, str]] = {
-    "corpus.path": ("corpus", "directory with one exam JSON file per exam"),
-    "corpus.trust_stored_grades": ("false", "keep records whose stored aggregates disagree with recomputation"),
-    "corpus.exemplars": ("", "optional JSON manifest of curated exemplar ids per grade level"),
-    "rubric.path": ("rubrics", "directory with one rubric JSON file per text type"),
-    "technique": ("baseline", f"one of {', '.join(TECHNIQUES)}"),
-    "technique.k": ("1", "reference count per task for rag_most_similar"),
-    "technique.n": ("1", "per-grade coverage for rag_range"),
-    "ordering": ("base", f"calibration grade order, one of {', '.join(ORDERINGS)}"),
-    "client.kind": ("mock", "http or mock"),
-    "client.base_url": ("http://localhost:11434", "chat endpoint base URL (http client)"),
-    "client.model": ("llama3", "chat model name (http client)"),
-    "client.policy": ("echo_gold", "mock policy: echo_gold, always_grade:<g>, keyword_heuristic"),
-    "client.temperature": ("0.0", "sampling temperature"),
-    "client.seed": ("0", "sampling seed, where the endpoint supports it"),
-    "client.retries": ("0", "reformat retries after an unparseable answer"),
-    "client.timeout": ("120.0", "HTTP timeout in seconds"),
-    "embedding.base_url": ("http://localhost:11434", "embedding endpoint base URL"),
-    "embedding.model": ("", "embedding model name (remote mode)"),
-    "embedding.fallback": ("true", "use the deterministic offline embedder"),
-    "embedding.dim": ("128", "fallback embedding dimension"),
-    "noise.count": ("0", "random-word noise documents appended to each context"),
-    "noise.seed": ("0", "noise generator seed"),
-    "grading.round_half": ("better", "rounding of exact .5 averages: better or worse"),
-    "runner.parallelism": ("1", "concurrently graded candidates"),
-    "runner.token_budget": ("100000", "approximate token budget per script (4 chars/token)"),
-    "output.dir": ("out", "directory for report artifacts and transcripts"),
+
+@dataclass(frozen=True)
+class TechniqueSpec:
+    """One technique: its report label and either a zero-shot context
+    variant or calibration groups of (task positions, grade levels)."""
+
+    label: str  # template over k and n5 (= 5 * technique.n)
+    context: str | None = None
+    calibration_groups: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
+    cot: bool = False
+
+
+TECHNIQUES: dict[str, TechniqueSpec] = {
+    "baseline": TechniqueSpec("baseline", context=BASELINE),
+    "rag_best_avg_worst": TechniqueSpec("RAG-best-worst", context=BEST_AVERAGE_WORST),
+    "rag_most_similar": TechniqueSpec("RAG-{k}-best", context=MOST_SIMILAR),
+    "rag_range": TechniqueSpec("RAG-{n5}-grade", context=RANGE_OF_EXAMPLES),
+    "few_all_grades": TechniqueSpec("Few-all-grades", calibration_groups=(((1, 2), ALL_GRADE_LEVELS),)),
+    "few_best_worst": TechniqueSpec("Few-best-worst", calibration_groups=(((1, 2), BEST_WORST_LEVELS),)),
+    "few_mixed": TechniqueSpec(
+        "Few-mixed", calibration_groups=(((1,), BEST_WORST_LEVELS), ((2,), ALL_GRADE_LEVELS))
+    ),
+    "cot_best_worst": TechniqueSpec(
+        "CoT-best-worst", calibration_groups=(((1, 2), BEST_WORST_LEVELS),), cot=True
+    ),
 }
 
 
 class ConfigError(ValueError):
     pass
-
-
-def parse_config_text(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; unknown keys are errors."""
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key not in DEFAULTS:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        values[key] = value.strip()
-    return values
 
 
 def _as_bool(value: str, key: str) -> bool:
@@ -99,126 +73,106 @@ def _as_float(value: str, key: str) -> float:
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
 
 
+# field annotation (a string under postponed evaluation) -> parser
+_PARSERS = {"bool": _as_bool, "int": _as_int, "float": _as_float}
+
+
+def _key(key: str, default: str, help_text: str, choices: tuple[str, ...] = (), minimum: int | None = None):
+    """One config key: the field it fills, its default text, help and check."""
+    return field(metadata={"key": key, "default": default, "help": help_text, "choices": choices, "minimum": minimum})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    corpus_path: str
-    trust_stored_grades: bool
-    exemplars_path: str
-    rubric_path: str
-    technique: str
-    k: int
-    n: int
-    ordering: str
-    client_kind: str
-    client_base_url: str
-    client_model: str
-    client_policy: str
-    temperature: float
-    seed: int
-    retries: int
-    timeout: float
-    embedding_base_url: str
-    embedding_model: str
-    embedding_fallback: bool
-    embedding_dim: int
-    noise_count: int
-    noise_seed: int
-    round_half: str
-    parallelism: int
-    token_budget: int
-    output_dir: str
+    corpus_path: str = _key("corpus.path", "corpus", "directory with one exam JSON file per exam")
+    trust_stored_grades: bool = _key(
+        "corpus.trust_stored_grades", "false", "keep records whose stored aggregates disagree with recomputation"
+    )
+    exemplars_path: str = _key("corpus.exemplars", "", "optional JSON manifest of curated exemplar ids per grade level")
+    rubric_path: str = _key("rubric.path", "rubrics", "directory with one rubric JSON file per text type")
+    technique: str = _key("technique", "baseline", f"one of {', '.join(TECHNIQUES)}", choices=tuple(TECHNIQUES))
+    k: int = _key("technique.k", "1", "reference count per task for rag_most_similar", minimum=1)
+    n: int = _key("technique.n", "1", "per-grade coverage for rag_range", minimum=1)
+    ordering: str = _key(
+        "ordering",
+        ORDERING_BASE,
+        f"calibration grade order, one of {', '.join(ORDERING_SCHEMES)}",
+        choices=ORDERING_SCHEMES,
+    )
+    client_kind: str = _key("client.kind", "mock", "http or mock", choices=("http", "mock"))
+    client_base_url: str = _key("client.base_url", "http://localhost:11434", "chat endpoint base URL (http client)")
+    client_model: str = _key("client.model", "llama3", "chat model name (http client)")
+    client_policy: str = _key(
+        "client.policy", "echo_gold", "mock policy: echo_gold, always_grade:<g>, keyword_heuristic"
+    )
+    temperature: float = _key("client.temperature", "0.0", "sampling temperature")
+    seed: int = _key("client.seed", "0", "sampling seed, where the endpoint supports it")
+    retries: int = _key("client.retries", "0", "reformat retries after an unparseable answer", minimum=0)
+    timeout: float = _key("client.timeout", "120.0", "HTTP timeout in seconds")
+    embedding_base_url: str = _key("embedding.base_url", "http://localhost:11434", "embedding endpoint base URL")
+    embedding_model: str = _key("embedding.model", "", "embedding model name (remote mode)")
+    embedding_fallback: bool = _key("embedding.fallback", "true", "use the deterministic offline embedder")
+    embedding_dim: int = _key("embedding.dim", "128", "fallback embedding dimension", minimum=1)
+    noise_count: int = _key("noise.count", "0", "random-word noise documents appended to each context", minimum=0)
+    noise_seed: int = _key("noise.seed", "0", "noise generator seed")
+    round_half: str = _key(
+        "grading.round_half", "better", "rounding of exact .5 averages: better or worse", choices=("better", "worse")
+    )
+    parallelism: int = _key("runner.parallelism", "1", "concurrently graded candidates", minimum=1)
+    token_budget: int = _key("runner.token_budget", "100000", "approximate token budget per script (4 chars/token)")
+    output_dir: str = _key("output.dir", "out", "directory for report artifacts and transcripts")
 
     def raw_items(self) -> list[tuple[str, str]]:
         """The effective configuration as canonical flat key/value pairs."""
-        mapping = {
-            "corpus.path": self.corpus_path,
-            "corpus.trust_stored_grades": str(self.trust_stored_grades).lower(),
-            "corpus.exemplars": self.exemplars_path,
-            "rubric.path": self.rubric_path,
-            "technique": self.technique,
-            "technique.k": str(self.k),
-            "technique.n": str(self.n),
-            "ordering": self.ordering,
-            "client.kind": self.client_kind,
-            "client.base_url": self.client_base_url,
-            "client.model": self.client_model,
-            "client.policy": self.client_policy,
-            "client.temperature": repr(self.temperature),
-            "client.seed": str(self.seed),
-            "client.retries": str(self.retries),
-            "client.timeout": repr(self.timeout),
-            "embedding.base_url": self.embedding_base_url,
-            "embedding.model": self.embedding_model,
-            "embedding.fallback": str(self.embedding_fallback).lower(),
-            "embedding.dim": str(self.embedding_dim),
-            "noise.count": str(self.noise_count),
-            "noise.seed": str(self.noise_seed),
-            "grading.round_half": self.round_half,
-            "runner.parallelism": str(self.parallelism),
-            "runner.token_budget": str(self.token_budget),
-            "output.dir": self.output_dir,
-        }
-        return sorted(mapping.items())
+        items = []
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            items.append((spec.metadata["key"], str(value).lower() if isinstance(value, bool) else str(value)))
+        return sorted(items)
+
+
+# key -> (default, help)
+DEFAULTS: dict[str, tuple[str, str]] = {
+    spec.metadata["key"]: (spec.metadata["default"], spec.metadata["help"]) for spec in fields(ExperimentConfig)
+}
+
+
+def parse_config_text(text: str) -> dict[str, str]:
+    """Parse ``key = value`` lines; unknown keys are errors."""
+    values: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key not in DEFAULTS:
+            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        values[key] = value.strip()
+    return values
 
 
 def config_from_values(values: dict[str, str]) -> ExperimentConfig:
-    merged = {key: default for key, (default, _) in DEFAULTS.items()}
-    merged.update(values)
-
-    technique = merged["technique"]
-    if technique not in TECHNIQUES:
-        raise ConfigError(f"unknown technique {technique!r}; expected one of {', '.join(TECHNIQUES)}")
-    ordering = merged["ordering"]
-    if ordering not in ORDERINGS:
-        raise ConfigError(f"unknown ordering {ordering!r}; expected one of {', '.join(ORDERINGS)}")
-    client_kind = merged["client.kind"]
-    if client_kind not in ("http", "mock"):
-        raise ConfigError(f"client.kind must be http or mock, got {client_kind!r}")
-    round_half = merged["grading.round_half"]
-    if round_half not in ("better", "worse"):
-        raise ConfigError(f"grading.round_half must be better or worse, got {round_half!r}")
-
-    cfg = ExperimentConfig(
-        corpus_path=merged["corpus.path"],
-        trust_stored_grades=_as_bool(merged["corpus.trust_stored_grades"], "corpus.trust_stored_grades"),
-        exemplars_path=merged["corpus.exemplars"],
-        rubric_path=merged["rubric.path"],
-        technique=technique,
-        k=_as_int(merged["technique.k"], "technique.k"),
-        n=_as_int(merged["technique.n"], "technique.n"),
-        ordering=ordering,
-        client_kind=client_kind,
-        client_base_url=merged["client.base_url"],
-        client_model=merged["client.model"],
-        client_policy=merged["client.policy"],
-        temperature=_as_float(merged["client.temperature"], "client.temperature"),
-        seed=_as_int(merged["client.seed"], "client.seed"),
-        retries=_as_int(merged["client.retries"], "client.retries"),
-        timeout=_as_float(merged["client.timeout"], "client.timeout"),
-        embedding_base_url=merged["embedding.base_url"],
-        embedding_model=merged["embedding.model"],
-        embedding_fallback=_as_bool(merged["embedding.fallback"], "embedding.fallback"),
-        embedding_dim=_as_int(merged["embedding.dim"], "embedding.dim"),
-        noise_count=_as_int(merged["noise.count"], "noise.count"),
-        noise_seed=_as_int(merged["noise.seed"], "noise.seed"),
-        round_half=round_half,
-        parallelism=_as_int(merged["runner.parallelism"], "runner.parallelism"),
-        token_budget=_as_int(merged["runner.token_budget"], "runner.token_budget"),
-        output_dir=merged["output.dir"],
-    )
-    if cfg.k < 1:
-        raise ConfigError("technique.k must be >= 1")
-    if cfg.n < 1:
-        raise ConfigError("technique.n must be >= 1")
-    if cfg.retries < 0:
-        raise ConfigError("client.retries must be >= 0")
-    if cfg.noise_count < 0:
-        raise ConfigError("noise.count must be >= 0")
-    if cfg.parallelism < 1:
-        raise ConfigError("runner.parallelism must be >= 1")
-    if cfg.embedding_dim < 1:
-        raise ConfigError("embedding.dim must be >= 1")
-    return cfg
+    parsed = {}
+    for spec in fields(ExperimentConfig):
+        meta = spec.metadata
+        key = meta["key"]
+        value = values.get(key, meta["default"])
+        parse = _PARSERS.get(spec.type)
+        if parse is not None:
+            value = parse(value, key)
+        if meta["choices"] and value not in meta["choices"]:
+            raise ConfigError(f"{key} must be one of {', '.join(meta['choices'])}, got {value!r}")
+        if meta["minimum"] is not None and value < meta["minimum"]:
+            raise ConfigError(f"{key} must be >= {meta['minimum']}")
+        parsed[spec.name] = value
+    try:
+        parse_policy(parsed["client_policy"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return ExperimentConfig(**parsed)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -244,18 +198,4 @@ def format_defaults() -> str:
 
 def technique_label(cfg: ExperimentConfig) -> str:
     """Report row label for a technique configuration."""
-    if cfg.technique == "baseline":
-        return "baseline"
-    if cfg.technique == "rag_most_similar":
-        return f"RAG-{cfg.k}-best"
-    if cfg.technique == "rag_range":
-        return f"RAG-{5 * cfg.n}-grade"
-    if cfg.technique == "rag_best_avg_worst":
-        return "RAG-best-worst"
-    if cfg.technique == "few_all_grades":
-        return "Few-all-grades"
-    if cfg.technique == "few_best_worst":
-        return "Few-best-worst"
-    if cfg.technique == "few_mixed":
-        return "Few-mixed"
-    return "CoT-best-worst"
+    return TECHNIQUES[cfg.technique].label.format(k=cfg.k, n5=5 * cfg.n)

@@ -112,13 +112,14 @@ class EvaluationReport:
     errored: tuple[str, ...] = ()
 
 
-def _dimension_pair(outcome, record, key: str) -> tuple[int, int]:
-    if key == "final":
-        return outcome.derived.final_as_grade(), record.gold.final_as_grade()
-    task, dim = key.split(".")
-    predicted = outcome.assessment.sub_dimensions()[task][dim]
-    gold = getattr(record.gold, task).as_dict()[dim]
-    return predicted, gold
+def _dimension_pairs(outcome, record) -> list[tuple[int, int]]:
+    """(predicted, gold) for each of DIMENSION_KEYS, in that order."""
+    predicted = outcome.assessment.sub_dimensions()
+    pairs = [(outcome.derived.final_as_grade(), record.gold.final_as_grade())]
+    for task in ("task1", "task2"):
+        gold = getattr(record.gold, task).as_dict()
+        pairs.extend((predicted[task][dim], gold[dim]) for dim in DIMENSIONS)
+    return pairs
 
 
 def build_report(
@@ -139,15 +140,16 @@ def build_report(
     errored = tuple(sorted(o.exam_id for o in outcomes if o.error is not None))
 
     dimensions: dict[str, DimensionReport] = {}
-    for key in DIMENSION_KEYS:
-        if not valid:
-            dimensions[key] = DimensionReport(
-                qwk=None, mae=None, pcc=None, accuracy=None,
-                confusion=tuple((0,) * 5 for _ in range(5)), n=0, invalid_count=invalid_count,
-            )
-            continue
-        pairs = [_dimension_pair(o, corpus.get(o.exam_id), key) for o in valid]
-        series = GradeSeries(tuple(p for p, _ in pairs), tuple(g for _, g in pairs))
+    if not valid:
+        empty = DimensionReport(
+            qwk=None, mae=None, pcc=None, accuracy=None,
+            confusion=tuple((0,) * 5 for _ in range(5)), n=0, invalid_count=invalid_count,
+        )
+        dimensions = dict.fromkeys(DIMENSION_KEYS, empty)
+    # one row of pairs per valid outcome, read column by column
+    columns = zip(*(_dimension_pairs(o, corpus.get(o.exam_id)) for o in valid))
+    for key, pairs in zip(DIMENSION_KEYS, columns):
+        series = GradeSeries(*zip(*pairs))
         accuracy, confusion = accuracy_and_confusion(series)
         degenerate = False
         if len(series) >= 2:

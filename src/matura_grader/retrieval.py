@@ -431,12 +431,6 @@ def inject_noise(selection: ContextSelection, count: int, seed: int) -> ContextS
     return replace(selection, entries=selection.entries + noise)
 
 
-def _single_task_selection(
-    corpus: Corpus, index: TaskTextIndex, candidate: ExamRecord, strategy: ContextStrategy, position: int
-) -> ContextSelection:
-    return _select(corpus, index, candidate, strategy, positions=(position,))
-
-
 def _select(
     corpus: Corpus,
     index: TaskTextIndex,
@@ -478,8 +472,8 @@ def build_context(
     The candidate itself never appears in its own selection; noise seeds are
     varied per candidate so repeated runs stay deterministic."""
     if strategy.variant == MIXED_PER_TASK:
-        first = _single_task_selection(corpus, index, candidate, strategy.task1, 1)
-        second = _single_task_selection(corpus, index, candidate, strategy.task2, 2)
+        first = _select(corpus, index, candidate, strategy.task1, positions=(1,))
+        second = _select(corpus, index, candidate, strategy.task2, positions=(2,))
         coverage = None
         if first.coverage or second.coverage:
             coverage = {**(first.coverage or {}), **(second.coverage or {})}

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .clients import ALWAYS_GRADE, ChatClient, HttpChatClient, MockChatClient
-from .config import ExperimentConfig, config_hash, technique_label
+from .clients import ChatClient, HttpChatClient, MockChatClient, parse_policy
+from .config import TECHNIQUES, ExperimentConfig, config_hash, technique_label
 from .corpus import Corpus, ExamRecord, RubricSet, load_corpus, load_rubrics
 from .grading import FAIL, aggregate
 from .metrics import EvaluationReport, build_report
@@ -31,8 +31,6 @@ from .orchestrator import (
 )
 from .reporting import emit_report
 from .retrieval import (
-    BASELINE,
-    BEST_AVERAGE_WORST,
     MOST_SIMILAR,
     RANGE_OF_EXAMPLES,
     ContextSelection,
@@ -46,49 +44,33 @@ from .retrieval import (
 
 logger = logging.getLogger(__name__)
 
-BEST_WORST_LEVELS = (1, 3, 5)
-ALL_GRADE_LEVELS = (1, 2, 3, 4, 5)
-
 
 @dataclass(frozen=True)
 class TechniquePlan:
     """How one technique maps onto context building and scripting."""
 
     label: str
-    zero_shot: bool
-    strategy: ContextStrategy | None = None  # zero-shot context
+    strategy: ContextStrategy | None = None  # zero-shot context; None for few-shot
     calibration_groups: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()  # (positions, levels)
     cot: bool = False
 
+    @property
+    def zero_shot(self) -> bool:
+        return self.strategy is not None
+
+    @property
+    def needs_index(self) -> bool:
+        return self.zero_shot and self.strategy.variant in (MOST_SIMILAR, RANGE_OF_EXAMPLES)
+
 
 def technique_plan(cfg: ExperimentConfig) -> TechniquePlan:
-    label = technique_label(cfg)
-    noise = {"noise_count": cfg.noise_count, "noise_seed": cfg.noise_seed}
-    if cfg.technique == "baseline":
-        return TechniquePlan(label, zero_shot=True, strategy=ContextStrategy(BASELINE, **noise))
-    if cfg.technique == "rag_best_avg_worst":
-        return TechniquePlan(label, zero_shot=True, strategy=ContextStrategy(BEST_AVERAGE_WORST, **noise))
-    if cfg.technique == "rag_most_similar":
-        return TechniquePlan(label, zero_shot=True, strategy=ContextStrategy(MOST_SIMILAR, k=cfg.k, **noise))
-    if cfg.technique == "rag_range":
-        return TechniquePlan(label, zero_shot=True, strategy=ContextStrategy(RANGE_OF_EXAMPLES, n=cfg.n, **noise))
-    if cfg.technique == "few_all_grades":
-        return TechniquePlan(label, zero_shot=False, calibration_groups=(((1, 2), ALL_GRADE_LEVELS),))
-    if cfg.technique == "few_best_worst":
-        return TechniquePlan(label, zero_shot=False, calibration_groups=(((1, 2), BEST_WORST_LEVELS),))
-    if cfg.technique == "few_mixed":
-        return TechniquePlan(
-            label,
-            zero_shot=False,
-            calibration_groups=(((1,), BEST_WORST_LEVELS), ((2,), ALL_GRADE_LEVELS)),
+    spec = TECHNIQUES[cfg.technique]
+    strategy = None
+    if spec.context is not None:
+        strategy = ContextStrategy(
+            spec.context, k=cfg.k, n=cfg.n, noise_count=cfg.noise_count, noise_seed=cfg.noise_seed
         )
-    if cfg.technique == "cot_best_worst":
-        return TechniquePlan(label, zero_shot=False, calibration_groups=(((1, 2), BEST_WORST_LEVELS),), cot=True)
-    raise ValueError(f"unknown technique {cfg.technique!r}")
-
-
-def _needs_index(plan: TechniquePlan) -> bool:
-    return plan.zero_shot and plan.strategy.variant in (MOST_SIMILAR, RANGE_OF_EXAMPLES)
+    return TechniquePlan(technique_label(cfg), strategy, spec.calibration_groups, spec.cot)
 
 
 def make_embedder(cfg: ExperimentConfig):
@@ -102,10 +84,8 @@ def make_client(cfg: ExperimentConfig, corpus: Corpus) -> ChatClient:
         return HttpChatClient(
             cfg.client_base_url, cfg.client_model, temperature=cfg.temperature, seed=cfg.seed, timeout=cfg.timeout
         )
-    policy, _, parameter = cfg.client_policy.partition(":")
-    if policy == ALWAYS_GRADE:
-        return MockChatClient(ALWAYS_GRADE, grade=int(parameter or 3))
-    return MockChatClient(policy, corpus=corpus)
+    policy, grade = parse_policy(cfg.client_policy)
+    return MockChatClient(policy, grade=grade, corpus=corpus)
 
 
 def load_exemplar_manifest(path: str) -> dict[tuple[int, str], dict[int, str]]:
@@ -206,7 +186,7 @@ def run_experiment(
     plan = technique_plan(cfg)
     manifest = load_exemplar_manifest(cfg.exemplars_path)
     index = None
-    if _needs_index(plan):
+    if plan.needs_index:
         index = TaskTextIndex.build(corpus, embedder or make_embedder(cfg))
 
     if client is None:

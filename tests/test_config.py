@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from matura_grader.clients import parse_policy
 from matura_grader.config import (
+    TECHNIQUES,
     ConfigError,
     DEFAULTS,
     config_from_values,
@@ -12,6 +14,8 @@ from matura_grader.config import (
     parse_config_text,
     technique_label,
 )
+from matura_grader.orchestrator import ORDERING_SCHEMES
+from matura_grader.runner import technique_plan
 
 
 def test_defaults_build_a_config():
@@ -95,3 +99,57 @@ def test_load_config_file(tmp_path):
 )
 def test_technique_labels_mirror_row_names(values, label):
     assert technique_label(config_from_values(values)) == label
+
+
+@pytest.mark.parametrize(
+    "policy", ["always_grade:x", "always_grade:7", "always_grade:", "echo", "echo_gold:5", "keyword_heuristic:2"]
+)
+def test_malformed_mock_policy_is_rejected_at_load(policy):
+    with pytest.raises(ConfigError, match="malformed mock policy"):
+        config_from_values({"client.policy": policy})
+
+
+@pytest.mark.parametrize(
+    "policy,expected",
+    [
+        ("echo_gold", ("echo_gold", 3)),
+        ("keyword_heuristic", ("keyword_heuristic", 3)),
+        ("always_grade", ("always_grade", 3)),
+        ("always_grade:1", ("always_grade", 1)),
+    ],
+)
+def test_well_formed_mock_policy_is_accepted(policy, expected):
+    assert config_from_values({"client.policy": policy}).client_policy == policy
+    assert parse_policy(policy) == expected
+
+
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        ({"technique.k": "0"}, "technique.k must be >= 1"),
+        ({"client.retries": "-1"}, "client.retries must be >= 0"),
+        ({"client.kind": "grpc"}, "client.kind must be one of http, mock, got 'grpc'"),
+        ({"grading.round_half": "up"}, "grading.round_half must be one of better, worse"),
+        ({"client.timeout": "soon"}, "client.timeout must be a number"),
+    ],
+)
+def test_checks_name_the_key(values, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_values(values)
+
+
+def test_orderings_are_the_orchestrator_schemes():
+    for scheme in ORDERING_SCHEMES:
+        assert config_from_values({"ordering": scheme}).ordering == scheme
+
+
+def test_every_technique_has_a_plan():
+    assert set(TECHNIQUES) == {
+        "baseline", "rag_best_avg_worst", "rag_most_similar", "rag_range",
+        "few_all_grades", "few_best_worst", "few_mixed", "cot_best_worst",
+    }
+    for name in TECHNIQUES:
+        plan = technique_plan(config_from_values({"technique": name}))
+        assert plan.zero_shot == (plan.strategy is not None) == (not plan.calibration_groups)
+        assert plan.needs_index == (name in ("rag_most_similar", "rag_range"))
+        assert plan.cot == (name == "cot_best_worst")

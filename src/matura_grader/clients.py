@@ -17,11 +17,28 @@ from collections import deque
 import requests
 
 from .corpus import Corpus
-from .grading import DIMENSIONS
+from .grading import DIMENSIONS, TASKS, VALID_GRADES
 
 
 class ChatTransportError(RuntimeError):
     pass
+
+
+def post_json(endpoint: str, payload: dict, timeout: float, error: type[Exception], what: str):
+    """POST ``payload`` to ``endpoint`` and return the decoded JSON reply.
+
+    An unreachable endpoint, a non-200 status and a body that is not JSON
+    raise ``error``; checking the reply's schema is left to the caller."""
+    try:
+        response = requests.post(endpoint, json=payload, timeout=timeout)
+    except requests.RequestException as exc:
+        raise error(f"{what} endpoint unreachable: {endpoint} ({exc})") from exc
+    if response.status_code != 200:
+        raise error(f"{what} endpoint error: {endpoint} returned {response.status_code}")
+    try:
+        return response.json()
+    except ValueError as exc:
+        raise error(f"{what} endpoint returned a malformed body: {endpoint} ({exc!r})") from exc
 
 
 class ChatClient:
@@ -64,15 +81,10 @@ class HttpChatClient(ChatClient):
             "options": {"temperature": self.temperature, "seed": self.seed},
         }
         endpoint = f"{self.base_url}/api/chat"
+        body = post_json(endpoint, payload, self.timeout, ChatTransportError, "chat")
         try:
-            response = requests.post(endpoint, json=payload, timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise ChatTransportError(f"chat request failed: {endpoint} ({exc})") from exc
-        if response.status_code != 200:
-            raise ChatTransportError(f"chat endpoint error: {endpoint} returned {response.status_code}")
-        try:
-            content = response.json()["message"]["content"]
-        except (ValueError, KeyError, TypeError) as exc:
+            content = body["message"]["content"]
+        except (KeyError, TypeError) as exc:
             raise ChatTransportError(f"chat endpoint returned a malformed body: {endpoint} ({exc!r})") from exc
         if not isinstance(content, str):
             raise ChatTransportError(
@@ -87,8 +99,8 @@ class HttpChatClient(ChatClient):
 def assessment_json(task1: dict[str, int], task2: dict[str, int], feedback: str = "Automatische Testbewertung.") -> str:
     """A well-formed grade sheet in the required output schema."""
     sheet = {
-        "task1": {**{dim: task1[dim] for dim in DIMENSIONS}, "feedback": feedback},
-        "task2": {**{dim: task2[dim] for dim in DIMENSIONS}, "feedback": feedback},
+        task: {**{dim: grades[dim] for dim in DIMENSIONS}, "feedback": feedback}
+        for task, grades in zip(TASKS, (task1, task2))
     }
     return json.dumps(sheet, ensure_ascii=False)
 
@@ -117,7 +129,7 @@ def parse_policy(text: str) -> tuple[str, int]:
     """A mock policy spec as (policy, grade): ``echo_gold``,
     ``keyword_heuristic``, ``always_grade`` (grade 3) or ``always_grade:<1-5>``."""
     policy, colon, grade = text.partition(":")
-    grade_ok = not colon or (policy == ALWAYS_GRADE and grade in ("1", "2", "3", "4", "5"))
+    grade_ok = not colon or (policy == ALWAYS_GRADE and grade in {str(g) for g in VALID_GRADES})
     if policy not in MOCK_POLICIES or not grade_ok:
         raise ValueError(
             f"malformed mock policy {text!r}; expected {ECHO_GOLD}, {KEYWORD_HEURISTIC}, "
@@ -139,7 +151,7 @@ class MockChatClient(ChatClient):
     def __init__(self, policy: str, grade: int = 3, corpus: Corpus | None = None):
         if policy not in MOCK_POLICIES:
             raise ValueError(f"unknown mock policy {policy!r}")
-        if policy == ALWAYS_GRADE and grade not in (1, 2, 3, 4, 5):
+        if policy == ALWAYS_GRADE and grade not in VALID_GRADES:
             raise ValueError(f"always_grade needs a grade in 1..5, got {grade}")
         if policy == ECHO_GOLD and corpus is None:
             raise ValueError("echo_gold needs a corpus to look gold grades up in")
@@ -155,7 +167,7 @@ class MockChatClient(ChatClient):
             if exam_id is None:
                 raise ValueError("echo_gold needs the exam id of the conversation")
             record = self.corpus.get(exam_id)
-            return assessment_json(record.gold.task1.as_dict(), record.gold.task2.as_dict())
+            return assessment_json(*record.gold.sub_dimensions().values())
         last_user = next((m["content"] for m in reversed(messages) if m["role"] == "user"), "")
         words = set(re.findall(r"\w+", last_user.lower()))
         hits = sum(1 for keyword in _KEYWORDS if keyword in words)

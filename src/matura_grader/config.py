@@ -12,11 +12,12 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .clients import parse_policy
+from .grading import VALID_GRADES
 from .orchestrator import ORDERING_BASE, ORDERING_SCHEMES
 from .retrieval import BASELINE, BEST_AVERAGE_WORST, MOST_SIMILAR, RANGE_OF_EXAMPLES
 
 BEST_WORST_LEVELS = (1, 3, 5)
-ALL_GRADE_LEVELS = (1, 2, 3, 4, 5)
+ALL_GRADE_LEVELS = VALID_GRADES
 
 
 @dataclass(frozen=True)
@@ -155,6 +156,9 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def config_from_values(values: dict[str, str]) -> ExperimentConfig:
+    unknown = sorted(set(values) - DEFAULTS.keys())
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
     parsed = {}
     for spec in fields(ExperimentConfig):
         meta = spec.metadata

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .grading import DIMENSIONS, FAIL, HALF_TO_BETTER, VALID_GRADES, ExamOutcome, aggregate
+from .grading import DIMENSIONS, FAIL, HALF_TO_BETTER, RUBRIC_GRADES, SECTIONS, TASKS, VALID_GRADES, aggregate
 
 TEXT_TYPES = (
     "Discussion Essay",
@@ -92,7 +92,7 @@ class GoldGrades:
     final: int | str  # 1..5 or FAIL
 
     def sub_dimensions(self) -> dict[str, dict[str, int]]:
-        return {"task1": self.task1.as_dict(), "task2": self.task2.as_dict()}
+        return {task: getattr(self, task).as_dict() for task in TASKS}
 
     def final_as_grade(self) -> int:
         return 5 if self.final == FAIL else int(self.final)
@@ -109,9 +109,6 @@ class ExamRecord:
     def task(self, position: int) -> TaskText:
         """Task text at position 1 or 2."""
         return self.tasks[position - 1]
-
-    def recomputed_outcome(self, half: str = HALF_TO_BETTER) -> ExamOutcome:
-        return aggregate(self.gold.sub_dimensions(), half)
 
 
 @dataclass(frozen=True)
@@ -170,16 +167,7 @@ def _record_to_dict(r: ExamRecord) -> dict:
         "year": r.year,
         "pack": r.pack,
         "tasks": [{"text_type": t.text_type, "body": t.body} for t in r.tasks],
-        "gold": {
-            "task1": r.gold.task1.as_dict(),
-            "task2": r.gold.task2.as_dict(),
-            "k1": r.gold.k1,
-            "k2": r.gold.k2,
-            "k3_1": r.gold.k3_1,
-            "k3_2": r.gold.k3_2,
-            "k3": r.gold.k3,
-            "final": r.gold.final,
-        },
+        "gold": asdict(r.gold),
     }
 
 
@@ -220,13 +208,8 @@ def parse_record(data: dict) -> ExamRecord:
     if final != FAIL and (not isinstance(final, int) or isinstance(final, bool)):
         raise ValueError(f'field gold.final must be an integer or "{FAIL}", got {final!r}')
     gold = GoldGrades(
-        task1=_parse_task_grades(_require(gold_raw, "task1", dict, "gold."), "gold.task1."),
-        task2=_parse_task_grades(_require(gold_raw, "task2", dict, "gold."), "gold.task2."),
-        k1=_require(gold_raw, "k1", int, "gold."),
-        k2=_require(gold_raw, "k2", int, "gold."),
-        k3_1=_require(gold_raw, "k3_1", int, "gold."),
-        k3_2=_require(gold_raw, "k3_2", int, "gold."),
-        k3=_require(gold_raw, "k3", int, "gold."),
+        **{task: _parse_task_grades(_require(gold_raw, task, dict, "gold."), f"gold.{task}.") for task in TASKS},
+        **{name: _require(gold_raw, name, int, "gold.") for name in SECTIONS},
         final=final,
     )
     return ExamRecord(id=exam_id, year=year, pack=pack, tasks=(tasks[0], tasks[1]), gold=gold)
@@ -238,18 +221,17 @@ def validate_record(record: ExamRecord, half: str = HALF_TO_BETTER) -> Validatio
     Violations are data, not exceptions.
     """
     violations: list[str] = []
-    for position in (1, 2):
-        task = record.task(position)
+    for position, (name, task) in enumerate(zip(TASKS, record.tasks), start=1):
         if task.text_type not in TEXT_TYPES:
             violations.append(f"unknown text_type for task {position}: {task.text_type!r}")
         if not task.body:
             violations.append(f"task {position} body is empty after normalization")
-        grades = getattr(record.gold, f"task{position}")
+        grades = getattr(record.gold, name)
         for dim in DIMENSIONS:
             value = getattr(grades, dim)
             if value not in VALID_GRADES:
-                violations.append(f"grade out of range: task{position}.{dim} = {value}")
-    for name in ("k1", "k2", "k3_1", "k3_2", "k3"):
+                violations.append(f"grade out of range: {name}.{dim} = {value}")
+    for name in SECTIONS:
         value = getattr(record.gold, name)
         if value not in VALID_GRADES:
             violations.append(f"grade out of range: {name} = {value}")
@@ -259,15 +241,8 @@ def validate_record(record: ExamRecord, half: str = HALF_TO_BETTER) -> Validatio
         return ValidationResult(False, tuple(violations))
 
     expected = aggregate(record.gold.sub_dimensions(), half)
-    stored = (record.gold.k1, record.gold.k2, record.gold.k3_1, record.gold.k3_2, record.gold.k3)
-    recomputed = (
-        expected.sections.k1,
-        expected.sections.k2,
-        expected.sections.k3_1,
-        expected.sections.k3_2,
-        expected.sections.k3,
-    )
-    for name, got, want in zip(("k1", "k2", "k3_1", "k3_2", "k3"), stored, recomputed):
+    for name in SECTIONS:
+        got, want = getattr(record.gold, name), getattr(expected.sections, name)
         if got != want:
             violations.append(f"stored {name} inconsistent with recomputation (expected {want}, stored {got})")
     if record.gold.final != expected.final:
@@ -338,7 +313,7 @@ class RubricSet:
 
     def covers(self, text_type: str) -> bool:
         return text_type in self.descriptors and all(
-            grade in self.descriptors[text_type].get(dim, {}) for dim in DIMENSIONS for grade in (1, 2, 3, 4)
+            grade in self.descriptors[text_type].get(dim, {}) for dim in DIMENSIONS for grade in RUBRIC_GRADES
         )
 
 
@@ -361,7 +336,7 @@ def load_rubrics(path: str | Path) -> RubricSet:
             if dim not in dims_raw:
                 raise ValueError(f"{file.name}: missing rubric dimension {dim!r}")
             table = {}
-            for grade in (1, 2, 3, 4):
+            for grade in RUBRIC_GRADES:
                 key = str(grade)
                 if key not in dims_raw[dim]:
                     raise ValueError(f"{file.name}: missing descriptor for ({text_type}, {dim}, grade {grade})")

@@ -8,11 +8,17 @@ K3/1, K3/2, K3 and a final grade. A section grade of 5 fails the whole exam.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 FAIL = "fail"
 
+# The grade sheet's names; every other module iterates these.
+TASKS = ("task1", "task2")
+
 VALID_GRADES = (1, 2, 3, 4, 5)
+
+# Grades the rubric describes; grade 5 marks failure to meet the grade-4 bar.
+RUBRIC_GRADES = VALID_GRADES[:-1]
 
 # Rounding of exact .5 averages: toward the better (lower) grade by default,
 # toward the worse grade when configured.
@@ -29,6 +35,9 @@ class SectionScores:
     k3_1: int
     k3_2: int
     k3: int
+
+
+SECTIONS = tuple(f.name for f in fields(SectionScores))
 
 
 @dataclass(frozen=True)
@@ -83,15 +92,10 @@ def section_grade(dim_a: int, dim_b: int, half: str = HALF_TO_BETTER) -> int:
     return round_grade((dim_a + dim_b) / 2, half)
 
 
-def combine_k3(k3_1: int, k3_2: int, half: str = HALF_TO_BETTER) -> int:
-    """Combine the per-task K3 halves.
-
-    A 5 in one half is tolerated as long as the combined average still
-    rounds to 4 or better; (5, 5) stays 5.
-    """
-    _check_grade(k3_1, "k3_1")
-    _check_grade(k3_2, "k3_2")
-    return round_grade((k3_1 + k3_2) / 2, half)
+# K3 folds the per-task K3 halves the way a section folds its two
+# dimensions: one failed half is tolerated as long as the average still
+# rounds to 4 or better; (5, 5) stays 5.
+combine_k3 = section_grade
 
 
 def final_grade(k1: int, k2: int, k3: int, half: str = HALF_TO_BETTER) -> tuple[int | str, str | None]:
@@ -112,11 +116,11 @@ def final_grade(k1: int, k2: int, k3: int, half: str = HALF_TO_BETTER) -> tuple[
 def aggregate(sub: dict[str, dict[str, int]], half: str = HALF_TO_BETTER) -> ExamOutcome:
     """Fold the 8 sub-dimension grades into sections and the final grade.
 
-    ``sub`` maps "task1"/"task2" to the four dimension grades. A 5 in a
+    ``sub`` maps each of TASKS to its four dimension grades. A 5 in a
     single sub-dimension does not fail the exam by itself; only section
     grades of 5 do.
     """
-    for task in ("task1", "task2"):
+    for task in TASKS:
         if task not in sub:
             raise ValueError(f"missing grades for {task}")
         for dim in DIMENSIONS:
@@ -124,7 +128,7 @@ def aggregate(sub: dict[str, dict[str, int]], half: str = HALF_TO_BETTER) -> Exa
                 raise ValueError(f"missing grade for {task}.{dim}")
             _check_grade(sub[task][dim], f"{task}.{dim}")
 
-    t1, t2 = sub["task1"], sub["task2"]
+    t1, t2 = (sub[task] for task in TASKS)
     k1 = section_grade(t1["content"], t1["structure"], half)
     k2 = section_grade(t2["content"], t2["structure"], half)
     k3_1 = section_grade(t1["style_expression"], t1["language_norms"], half)

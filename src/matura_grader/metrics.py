@@ -11,11 +11,9 @@ import math
 from dataclasses import dataclass
 
 from .corpus import Corpus
-from .grading import DIMENSIONS, HALF_TO_BETTER
+from .grading import DIMENSIONS, HALF_TO_BETTER, TASKS, VALID_GRADES
 
-GRADES = (1, 2, 3, 4, 5)
-
-DIMENSION_KEYS = ("final",) + tuple(f"task{t}.{dim}" for t in (1, 2) for dim in DIMENSIONS)
+DIMENSION_KEYS = ("final",) + tuple(f"{task}.{dim}" for task in TASKS for dim in DIMENSIONS)
 
 
 @dataclass(frozen=True)
@@ -29,7 +27,7 @@ class GradeSeries:
         if not self.predicted:
             raise ValueError("series must not be empty")
         for value in self.predicted + self.gold:
-            if value not in GRADES:
+            if value not in VALID_GRADES:
                 raise ValueError(f"grade out of range in series: {value!r}")
 
     def __len__(self) -> int:
@@ -45,9 +43,7 @@ def qwk(series: GradeSeries) -> float:
     n = len(series)
     if n < 2:
         raise ValueError("QWK needs at least 2 pairs")
-    counts = [[0] * 5 for _ in range(5)]
-    for pred, gold in zip(series.predicted, series.gold):
-        counts[gold - 1][pred - 1] += 1
+    _, counts = accuracy_and_confusion(series)
     gold_marginal = [sum(row) for row in counts]
     pred_marginal = [sum(counts[i][j] for i in range(5)) for j in range(5)]
     # The common 1/(R-1)^2 weight factor cancels between numerator and
@@ -116,7 +112,7 @@ def _dimension_pairs(outcome, record) -> list[tuple[int, int]]:
     """(predicted, gold) for each of DIMENSION_KEYS, in that order."""
     predicted = outcome.assessment.sub_dimensions()
     pairs = [(outcome.derived.final_as_grade(), record.gold.final_as_grade())]
-    for task in ("task1", "task2"):
+    for task in TASKS:
         gold = getattr(record.gold, task).as_dict()
         pairs.extend((predicted[task][dim], gold[dim]) for dim in DIMENSIONS)
     return pairs

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from .clients import ChatClient, ChatTransportError
 from .corpus import ExamRecord, RubricSet
-from .grading import DIMENSIONS, HALF_TO_BETTER, ExamOutcome, aggregate
+from .grading import DIMENSIONS, HALF_TO_BETTER, TASKS, VALID_GRADES, ExamOutcome, aggregate
 from .prompts import (
     build_system_prompt,
     context_intro,
@@ -62,11 +62,6 @@ def ordering_sequence(scheme: str, levels: set[int]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class StaticUser:
-    content: str
-
-
-@dataclass(frozen=True)
 class CalibrationUser:
     content: str
     exam_id: str
@@ -90,7 +85,7 @@ class CandidateUser:
     content: str
 
 
-Turn = StaticUser | CalibrationUser | AwaitModelGuess | RevealGold | CandidateUser
+Turn = CalibrationUser | AwaitModelGuess | RevealGold | CandidateUser
 
 
 @dataclass(frozen=True)
@@ -240,14 +235,14 @@ class ModelAssessment:
     def sub_dimensions(self) -> dict[str, dict[str, int]]:
         if not self.valid:
             raise ValueError(f"assessment is not valid: {self.failure_reason}")
-        return {"task1": dict(self.task1), "task2": dict(self.task2)}
+        return {task: dict(getattr(self, task)) for task in TASKS}
 
 
 def serialize_assessment(assessment: ModelAssessment) -> str:
     """Inverse of parse_assessment for valid assessments."""
     sheet = {
-        task: {**grades, "feedback": assessment.feedback.get(task, "")}
-        for task, grades in (("task1", assessment.task1), ("task2", assessment.task2))
+        task: {**getattr(assessment, task), "feedback": assessment.feedback.get(task, "")}
+        for task in TASKS
     }
     return json.dumps(sheet, ensure_ascii=False)
 
@@ -285,7 +280,7 @@ def parse_assessment(raw: str) -> ModelAssessment:
     violations: list[str] = []
     grades: dict[str, dict[str, int]] = {}
     feedback: dict[str, str] = {}
-    for task in ("task1", "task2"):
+    for task in TASKS:
         block = data.get(task)
         if not isinstance(block, dict):
             violations.append(f"missing {task}")
@@ -297,7 +292,7 @@ def parse_assessment(raw: str) -> ModelAssessment:
                 violations.append(f"missing grade: {task}.{dim}")
             elif not isinstance(value, int) or isinstance(value, bool):
                 violations.append(f"grade not an integer: {task}.{dim}")
-            elif not 1 <= value <= 5:
+            elif value not in VALID_GRADES:
                 violations.append(f"grade out of range: {task}.{dim}")
             else:
                 task_grades[dim] = value
@@ -310,10 +305,10 @@ def parse_assessment(raw: str) -> ModelAssessment:
 
     if violations:
         return ModelAssessment(
-            grades.get("task1"), grades.get("task2"), feedback=feedback, raw=raw,
+            **{task: grades.get(task) for task in TASKS}, feedback=feedback, raw=raw,
             failure_reason="; ".join(violations),
         )
-    return ModelAssessment(grades["task1"], grades["task2"], feedback=feedback, raw=raw, valid=True)
+    return ModelAssessment(**grades, feedback=feedback, raw=raw, valid=True)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from .grading import DIMENSIONS
+from .grading import DIMENSIONS, VALID_GRADES
 from .metrics import DIMENSION_KEYS, DimensionReport, EvaluationReport
 
 UNDEFINED = "—"
@@ -114,8 +114,8 @@ def render_report_md(report: EvaluationReport, config_hash: str | None = None) -
 
 
 def confusion_csv_rows(d: DimensionReport) -> list[list[str]]:
-    rows = [["gold\\model", "1", "2", "3", "4", "5"]]
-    for grade, row in zip((1, 2, 3, 4, 5), d.confusion):
+    rows = [["gold\\model"] + [str(grade) for grade in VALID_GRADES]]
+    for grade, row in zip(VALID_GRADES, d.confusion):
         rows.append([str(grade)] + [str(cell) for cell in row])
     return rows
 

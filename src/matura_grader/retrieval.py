@@ -28,10 +28,9 @@ from functools import lru_cache
 from operator import mul
 from pathlib import Path
 
-import requests
-
+from .clients import post_json
 from .corpus import Corpus, ExamRecord, normalize_text
-from .grading import DIMENSIONS
+from .grading import DIMENSIONS, TASKS, VALID_GRADES
 
 FALLBACK_DIM = 128
 
@@ -115,16 +114,9 @@ class RemoteEmbedder:
         if not normalized:
             raise EmbeddingError("cannot embed empty text")
         endpoint = f"{self.base_url}/api/embed"
+        body = post_json(endpoint, {"model": self.model, "input": normalized}, self.timeout, EmbeddingError, "embedding")
         try:
-            response = requests.post(
-                endpoint, json={"model": self.model, "input": normalized}, timeout=self.timeout
-            )
-        except requests.RequestException as exc:
-            raise EmbeddingError(f"embedding endpoint unreachable: {endpoint} ({exc})") from exc
-        if response.status_code != 200:
-            raise EmbeddingError(f"embedding endpoint error: {endpoint} returned {response.status_code}")
-        try:
-            values = tuple(float(v) for v in response.json()["embeddings"][0])
+            values = tuple(float(v) for v in body["embeddings"][0])
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise EmbeddingError(f"embedding endpoint returned a malformed body: {endpoint} ({exc!r})") from exc
         if not values or not all(map(math.isfinite, values)):
@@ -252,7 +244,7 @@ class ContextStrategy:
 
 
 def _entry_for(record: ExamRecord, position: int, similarity: float | None) -> ContextEntry:
-    grades = getattr(record.gold, f"task{position}")
+    grades = getattr(record.gold, TASKS[position - 1])
     return ContextEntry(
         exam_id=record.id,
         task_position=position,
@@ -263,8 +255,30 @@ def _entry_for(record: ExamRecord, position: int, similarity: float | None) -> C
     )
 
 
-def _sub_dimension_sum(record: ExamRecord) -> int:
-    return sum(sum(getattr(record.gold, task).as_dict().values()) for task in ("task1", "task2"))
+def _grade_distance(record: ExamRecord, level: int, positions: tuple[int, ...] = (1, 2)) -> int:
+    """Sum of |grade - level| over the sub-dimension grades of the tasks in
+    ``positions``; at level 0 the plain sum of those grades."""
+    return sum(
+        abs(getattr(getattr(record.gold, TASKS[position - 1]), dim) - level)
+        for position in positions
+        for dim in DIMENSIONS
+    )
+
+
+def _pick_distinct(eligible: list[ExamRecord], keys) -> list[ExamRecord]:
+    """Greedy: for each key in turn, the not yet picked record with the
+    smallest key. Records are told apart by id. Stops early when the
+    eligible records run out."""
+    picked: list[ExamRecord] = []
+    taken: set[str] = set()
+    for key in keys:
+        remaining = [r for r in eligible if r.id not in taken]
+        if not remaining:
+            break
+        record = min(remaining, key=key)
+        taken.add(record.id)
+        picked.append(record)
+    return picked
 
 
 def select_best_average_worst(
@@ -286,27 +300,28 @@ def select_best_average_worst(
     if len(eligible) < 3:
         raise ValueError(f"need at least 3 exams in pack ({year}, {pack!r}), have {len(eligible)}")
 
-    best = min(eligible, key=lambda r: (r.gold.final_as_grade(), _sub_dimension_sum(r), r.id))
-    remaining = [r for r in eligible if r.id != best.id]
-    worst = min(remaining, key=lambda r: (-r.gold.final_as_grade(), -_sub_dimension_sum(r), r.id))
-    remaining = [r for r in remaining if r.id != worst.id]
-
     # Pack means are computed over the full pool so the notion of "average"
     # does not shift with the excluded candidate.
     means: dict[tuple[str, str], float] = {}
-    for task in ("task1", "task2"):
+    for task in TASKS:
         for dim in DIMENSIONS:
             means[(task, dim)] = sum(getattr(getattr(r.gold, task), dim) for r in pool) / len(pool)
 
     def l1_to_means(record: ExamRecord) -> float:
         return sum(
             abs(getattr(getattr(record.gold, task), dim) - means[(task, dim)])
-            for task in ("task1", "task2")
+            for task in TASKS
             for dim in DIMENSIONS
         )
 
-    average = min(remaining, key=lambda r: (l1_to_means(r), r.id))
-
+    best, worst, average = _pick_distinct(
+        eligible,
+        (
+            lambda r: (r.gold.final_as_grade(), _grade_distance(r, 0), r.id),
+            lambda r: (-r.gold.final_as_grade(), -_grade_distance(r, 0), r.id),
+            lambda r: (l1_to_means(r), r.id),
+        ),
+    )
     entries = tuple(
         _entry_for(record, position, None)
         for position in positions
@@ -342,7 +357,7 @@ def select_range_of_examples(
     entries: list[ContextEntry] = []
     coverage: dict[int, dict[int, int]] = {}
     for position in positions:
-        counts = {grade: 0 for grade in (1, 2, 3, 4, 5)}
+        counts = dict.fromkeys(VALID_GRADES, 0)
         for record, similarity in index.query(candidate.year, candidate.pack, position, candidate):
             grade = record.gold.final_as_grade()
             if counts[grade] >= n:
@@ -362,39 +377,23 @@ def select_grade_exemplars(
     levels: tuple[int, ...],
     exclude_id: str | None = None,
     manifest: dict[int, str] | None = None,
-    task_position: int | None = None,
+    positions: tuple[int, ...] = (1, 2),
 ) -> list[tuple[int, ExamRecord]]:
     """One reference exam per requested grade level.
 
     A curated manifest (level -> exam id) wins when it provides a usable id;
-    otherwise the exam whose grade vector is L1-closest to the uniform
-    vector (g, ..., g) is chosen — over all 8 sub-dimensions, or over the 4
-    of ``task_position``. Picks are distinct across levels.
+    otherwise the exam whose grade vector over the tasks in ``positions`` is
+    L1-closest to the uniform vector (g, ..., g) is chosen. Picks are
+    distinct across levels.
     """
-    pool = corpus.pool(year, pack)
-    eligible = {r.id: r for r in pool if r.id != exclude_id}
+    eligible = [r for r in corpus.pool(year, pack) if r.id != exclude_id]
+    manifest = manifest or {}
 
-    def distance(record: ExamRecord, grade: int) -> int:
-        if task_position is None:
-            tasks = ("task1", "task2")
-        else:
-            tasks = (f"task{task_position}",)
-        return sum(abs(getattr(getattr(record.gold, task), dim) - grade) for task in tasks for dim in DIMENSIONS)
+    def closest_to(level: int):
+        preferred = manifest.get(level) or None
+        return lambda r: (r.id != preferred, _grade_distance(r, level, positions), r.id)
 
-    picked: list[tuple[int, ExamRecord]] = []
-    taken: set[str] = set()
-    for level in levels:
-        manifest_id = (manifest or {}).get(level)
-        if manifest_id and manifest_id in eligible and manifest_id not in taken:
-            record = eligible[manifest_id]
-        else:
-            candidates = [r for r in eligible.values() if r.id not in taken]
-            if not candidates:
-                break
-            record = min(candidates, key=lambda r: (distance(r, level), r.id))
-        taken.add(record.id)
-        picked.append((level, record))
-    return picked
+    return list(zip(levels, _pick_distinct(eligible, [closest_to(level) for level in levels])))
 
 
 @lru_cache(maxsize=1)
@@ -449,18 +448,12 @@ def _select(
     if strategy.variant == RANGE_OF_EXAMPLES:
         return select_range_of_examples(index, candidate, strategy.n, positions=positions)
     if strategy.variant == ALL_GRADES:
-        entries = []
-        for position in positions:
-            exemplars = select_grade_exemplars(
-                corpus,
-                candidate.year,
-                candidate.pack,
-                levels=(1, 2, 3, 4, 5),
-                exclude_id=candidate.id,
-                task_position=position if len(positions) == 1 else None,
-            )
-            entries.extend(_entry_for(record, position, None) for _, record in exemplars)
-        return ContextSelection(entries=tuple(entries))
+        exemplars = select_grade_exemplars(
+            corpus, candidate.year, candidate.pack, VALID_GRADES, exclude_id=candidate.id, positions=positions
+        )
+        return ContextSelection(
+            entries=tuple(_entry_for(record, position, None) for position in positions for _, record in exemplars)
+        )
     raise ValueError(f"strategy {strategy.variant!r} cannot be built directly")
 
 

@@ -19,12 +19,13 @@ from pathlib import Path
 from .clients import ChatClient, HttpChatClient, MockChatClient, parse_policy
 from .config import TECHNIQUES, ExperimentConfig, config_hash, technique_label
 from .corpus import Corpus, ExamRecord, RubricSet, load_corpus, load_rubrics
-from .grading import FAIL, aggregate
+from .grading import TASKS, aggregate
 from .metrics import EvaluationReport, build_report
 from .orchestrator import (
     CalibrationItem,
     ConversationScript,
     GradeOutcome,
+    ModelAssessment,
     build_few_shot_script,
     build_zero_shot,
     grade_candidate,
@@ -110,13 +111,8 @@ def calibration_items(
     items: list[CalibrationItem] = []
     for positions, levels in plan.calibration_groups:
         exemplars = select_grade_exemplars(
-            corpus,
-            candidate.year,
-            candidate.pack,
-            levels=levels,
-            exclude_id=candidate.id,
-            manifest=pack_manifest,
-            task_position=positions[0] if len(positions) == 1 else None,
+            corpus, candidate.year, candidate.pack, levels,
+            exclude_id=candidate.id, manifest=pack_manifest, positions=positions,
         )
         items.extend(CalibrationItem(exam=record, level=level, positions=positions) for level, record in exemplars)
     return items
@@ -146,21 +142,17 @@ def _outcome_record(outcome: GradeOutcome) -> dict:
     assessment = None
     if outcome.assessment is not None:
         assessment = {
-            "task1": outcome.assessment.task1,
-            "task2": outcome.assessment.task2,
+            **{task: getattr(outcome.assessment, task) for task in TASKS},
             "feedback": outcome.assessment.feedback,
             "failure_reason": outcome.assessment.failure_reason,
         }
-    derived_final = None
-    if outcome.derived is not None:
-        derived_final = outcome.derived.final if outcome.derived.final == FAIL else int(outcome.derived.final)
     return {
         "id": outcome.exam_id,
         "valid": outcome.valid,
         "error": outcome.error,
         "attempts": outcome.attempts,
         "assessment": assessment,
-        "derived_final": derived_final,
+        "derived_final": None if outcome.derived is None else outcome.derived.final,
     }
 
 
@@ -205,11 +197,8 @@ def run_experiment(
             logger.exception("candidate %s failed", candidate.id)
             return GradeOutcome(candidate.id, None, None, transcript=(), error=f"internal: {exc}")
 
-    if cfg.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            outcomes = list(pool.map(grade_one, candidates))
-    else:
-        outcomes = [grade_one(candidate) for candidate in candidates]
+    with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
+        outcomes = list(pool.map(grade_one, candidates))
     outcomes.sort(key=lambda o: o.exam_id)
 
     report = build_report(plan.label, outcomes, corpus, half=cfg.round_half)
@@ -269,8 +258,6 @@ def rescore_predictions(
     predictions_path: str | Path, corpus: Corpus, technique: str = "rescored", half: str = "better"
 ) -> EvaluationReport:
     """Rebuild an EvaluationReport from a stored predictions.jsonl file."""
-    from .orchestrator import ModelAssessment
-
     outcomes: list[GradeOutcome] = []
     for line in Path(predictions_path).read_text(encoding="utf-8").splitlines():
         if not line.strip():
@@ -282,8 +269,7 @@ def rescore_predictions(
             block = data["assessment"]
             valid = data.get("valid", False) and not data.get("error")
             assessment = ModelAssessment(
-                task1=block.get("task1"),
-                task2=block.get("task2"),
+                **{task: block.get(task) for task in TASKS},
                 feedback=block.get("feedback") or {},
                 raw="",
                 valid=valid,

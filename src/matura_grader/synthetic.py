@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import asdict
 from pathlib import Path
 
-from .grading import DIMENSIONS, FAIL, aggregate
-from .retrieval import random_word_text, word_list
+from .grading import DIMENSIONS, RUBRIC_GRADES, TASKS, aggregate
+from .retrieval import word_list
 
 PACKS = (
     {"year": 2023, "pack": "pack-a", "types": ("Literary Interpretation", "Letter to the Editor")},
@@ -52,7 +53,7 @@ def rubric_document(text_type: str) -> dict:
     for dim in DIMENSIONS:
         dimensions[dim] = {
             str(grade): f"{text_type}: " + _DIMENSION_SENTENCES[dim].format(q=_GRADE_QUALIFIERS[grade])
-            for grade in (1, 2, 3, 4)
+            for grade in RUBRIC_GRADES
         }
     return {"text_type": text_type, "summary": TYPE_SUMMARIES[text_type], "dimensions": dimensions}
 
@@ -94,10 +95,10 @@ def _body(rng: random.Random, topic: list[str], words: tuple[str, ...], target_w
 
 
 def _grade_vector(rng: random.Random, target: int, jitter: bool) -> dict[str, dict[str, int]]:
-    sub = {task: {dim: target for dim in DIMENSIONS} for task in ("task1", "task2")}
+    sub = {task: {dim: target for dim in DIMENSIONS} for task in TASKS}
     if jitter:
         for _ in range(2):
-            task = rng.choice(("task1", "task2"))
+            task = rng.choice(TASKS)
             dim = rng.choice(DIMENSIONS)
             sub[task][dim] = min(5, max(1, sub[task][dim] + rng.choice((-1, 1))))
     return sub
@@ -137,22 +138,8 @@ def make_synthetic(out_dir: str | Path, n: int, seed: int) -> tuple[Path, Path]:
                 {"text_type": pack["types"][0], "body": body1},
                 {"text_type": pack["types"][1], "body": body2},
             ],
-            "gold": {
-                "task1": sub["task1"],
-                "task2": sub["task2"],
-                "k1": outcome.sections.k1,
-                "k2": outcome.sections.k2,
-                "k3_1": outcome.sections.k3_1,
-                "k3_2": outcome.sections.k3_2,
-                "k3": outcome.sections.k3,
-                "final": outcome.final if outcome.final == FAIL else int(outcome.final),
-            },
+            "gold": {**sub, **asdict(outcome.sections), "final": outcome.final},
         }
         path = exam_dir / f"exam-{i + 1:03d}.json"
         path.write_text(json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     return exam_dir, rubric_dir
-
-
-def noise_sample(seed: int) -> str:
-    """A standalone random-word document (handy for inspection)."""
-    return random_word_text(random.Random(seed))

@@ -153,3 +153,12 @@ def test_every_technique_has_a_plan():
         assert plan.zero_shot == (plan.strategy is not None) == (not plan.calibration_groups)
         assert plan.needs_index == (name in ("rag_most_similar", "rag_range"))
         assert plan.cot == (name == "cot_best_worst")
+
+
+def test_config_from_values_rejects_unknown_keys():
+    with pytest.raises(ConfigError, match="unknown config key") as info:
+        config_from_values({"tecnique": "few_mixed", "technique.k": "3", "runner.paralelism": "2"})
+    message = str(info.value)
+    assert "'tecnique'" in message
+    assert "'runner.paralelism'" in message
+    assert "technique.k" not in message

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import re
 import shutil
 import unicodedata
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -283,3 +285,24 @@ def _record_json(record) -> dict:
             "final": record.gold.final,
         },
     }
+
+
+# sha256 of Corpus.to_json() on make_synthetic(n=25, seed=5), recorded before
+# the gold block was serialized with dataclasses.asdict.
+TO_JSON_SHA256 = "c3223e7e14cedbe3bb0c504c3b4b366e056973b879f1a72fec74eb0da63b0720"
+
+
+def test_to_json_is_pinned(corpus_25):
+    assert len(corpus_25) == 25 and not corpus_25.errors
+    assert hashlib.sha256(corpus_25.to_json().encode("utf-8")).hexdigest() == TO_JSON_SHA256
+
+
+def test_validate_record_reports_every_inconsistent_section():
+    record = make_record("inc", (2, 2, 2, 2), (4, 4, 4, 4))
+    gold = replace(record.gold, k1=1, k3_2=5, final=1)
+    result = validate_record(replace(record, gold=gold))
+    assert result.violations == (
+        "stored k1 inconsistent with recomputation (expected 2, stored 1)",
+        "stored k3_2 inconsistent with recomputation (expected 4, stored 5)",
+        "stored final inconsistent with recomputation (expected 3, stored 1)",
+    )

@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from matura_grader import grading
 from matura_grader.grading import (
     DIMENSIONS,
     FAIL,
     HALF_TO_WORSE,
+    RUBRIC_GRADES,
+    SECTIONS,
+    TASKS,
+    VALID_GRADES,
     aggregate,
     combine_k3,
     final_grade,
@@ -176,3 +183,46 @@ def test_aggregate_uniform_fixed_point():
             assert outcome.final == FAIL
         else:
             assert outcome.final == g
+
+
+def test_grade_sheet_names():
+    assert TASKS == ("task1", "task2")
+    assert SECTIONS == ("k1", "k2", "k3_1", "k3_2", "k3")
+    assert VALID_GRADES == (1, 2, 3, 4, 5)
+    assert RUBRIC_GRADES == (1, 2, 3, 4)
+
+
+# The grade sheet's names are written out in grading.py only; every other
+# module iterates TASKS, SECTIONS, VALID_GRADES and RUBRIC_GRADES.
+_GRADE_SHEET_LITERALS = {
+    ("task1", "task2"),
+    (1, 2, 3, 4, 5),
+    (1, 2, 3, 4),
+    ("k1", "k2", "k3_1", "k3_2", "k3"),
+}
+
+
+def _grade_sheet_literals(source: str) -> list[tuple[int, tuple]]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and all(isinstance(e, ast.Constant) for e in node.elts):
+            values = tuple(e.value for e in node.elts)
+            if values in _GRADE_SHEET_LITERALS:
+                found.append((node.lineno, values))
+    return found
+
+
+def test_grade_sheet_literals_are_detected():
+    source = 'A = ("task1", "task2")\nB = [1, 2, 3, 4, 5]\nC = {1, 2, 3, 4}\nD = (1, 2)\nE = ("k1", "k2")\n'
+    assert _grade_sheet_literals(source) == [(1, ("task1", "task2")), (2, (1, 2, 3, 4, 5)), (3, (1, 2, 3, 4))]
+
+
+def test_grade_sheet_names_are_written_out_only_in_grading():
+    package = Path(grading.__file__).parent
+    modules = sorted(path for path in package.glob("*.py") if path.name != "grading.py")
+    assert len(modules) > 10
+    offenders = {
+        path.name: found for path in modules if (found := _grade_sheet_literals(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+    assert _grade_sheet_literals(Path(grading.__file__).read_text(encoding="utf-8"))

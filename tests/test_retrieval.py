@@ -5,17 +5,21 @@ from dataclasses import replace
 
 import pytest
 
+from matura_grader.config import TECHNIQUES
 from matura_grader.corpus import load_corpus
+from matura_grader.grading import DIMENSIONS
 from matura_grader.retrieval import (
     ALL_GRADES,
     BEST_AVERAGE_WORST,
     MIXED_PER_TASK,
     MOST_SIMILAR,
+    ContextSelection,
     ContextStrategy,
     EmbeddingError,
     EmbeddingVector,
     FallbackEmbedder,
     TaskTextIndex,
+    _entry_for,
     build_context,
     cosine_similarity,
     inject_noise,
@@ -447,3 +451,157 @@ def test_build_context_applies_noise_per_candidate(embedder):
     assert first == second
     assert sum(e.is_noise for e in first.entries) == 2
     assert [e.body for e in first.entries if e.is_noise] != [e.body for e in other.entries if e.is_noise]
+
+
+# Reference oracles: the bodies of select_best_average_worst and
+# select_grade_exemplars before both went through one greedy picker.
+
+
+def _oracle_sub_dimension_sum(record) -> int:
+    return sum(sum(getattr(record.gold, task).as_dict().values()) for task in ("task1", "task2"))
+
+
+def _oracle_best_average_worst(corpus, year, pack, exclude_id=None, positions=(1, 2)):
+    pool = corpus.pool(year, pack)
+    eligible = [r for r in pool if r.id != exclude_id]
+    if len(eligible) < 3:
+        raise ValueError(f"need at least 3 exams in pack ({year}, {pack!r}), have {len(eligible)}")
+
+    best = min(eligible, key=lambda r: (r.gold.final_as_grade(), _oracle_sub_dimension_sum(r), r.id))
+    remaining = [r for r in eligible if r.id != best.id]
+    worst = min(remaining, key=lambda r: (-r.gold.final_as_grade(), -_oracle_sub_dimension_sum(r), r.id))
+    remaining = [r for r in remaining if r.id != worst.id]
+
+    means = {}
+    for task in ("task1", "task2"):
+        for dim in DIMENSIONS:
+            means[(task, dim)] = sum(getattr(getattr(r.gold, task), dim) for r in pool) / len(pool)
+
+    def l1_to_means(record):
+        return sum(
+            abs(getattr(getattr(record.gold, task), dim) - means[(task, dim)])
+            for task in ("task1", "task2")
+            for dim in DIMENSIONS
+        )
+
+    average = min(remaining, key=lambda r: (l1_to_means(r), r.id))
+
+    entries = tuple(
+        _entry_for(record, position, None)
+        for position in positions
+        for record in (best, average, worst)
+    )
+    return ContextSelection(entries=entries)
+
+
+def _oracle_grade_exemplars(corpus, year, pack, levels, exclude_id=None, manifest=None, task_position=None):
+    pool = corpus.pool(year, pack)
+    eligible = {r.id: r for r in pool if r.id != exclude_id}
+
+    def distance(record, grade):
+        if task_position is None:
+            tasks = ("task1", "task2")
+        else:
+            tasks = (f"task{task_position}",)
+        return sum(abs(getattr(getattr(record.gold, task), dim) - grade) for task in tasks for dim in DIMENSIONS)
+
+    picked = []
+    taken = set()
+    for level in levels:
+        manifest_id = (manifest or {}).get(level)
+        if manifest_id and manifest_id in eligible and manifest_id not in taken:
+            record = eligible[manifest_id]
+        else:
+            candidates = [r for r in eligible.values() if r.id not in taken]
+            if not candidates:
+                break
+            record = min(candidates, key=lambda r: (distance(r, level), r.id))
+        taken.add(record.id)
+        picked.append((level, record))
+    return picked
+
+
+def _grade_tie_corpus():
+    """Every grade vector appears twice or more, so every pick meets an exact tie."""
+    vectors = [(1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 4), (5, 5, 5, 5), (2, 3, 2, 3)]
+    return make_corpus(
+        [make_record(f"t-{copy}-{i}", grades, grades[::-1]) for i, grades in enumerate(vectors) for copy in "bac"]
+    )
+
+
+_LEVEL_SETS = sorted({levels for spec in TECHNIQUES.values() for _, levels in spec.calibration_groups})
+_POSITIONS = ((1, 2), (1,), (2,))
+
+
+@pytest.fixture(params=["synthetic_60_with_ties", "grade_ties"])
+def oracle_corpus(request, corpus_60_with_ties):
+    return corpus_60_with_ties if request.param == "synthetic_60_with_ties" else _grade_tie_corpus()
+
+
+def _manifests(candidate, pool, levels):
+    other = next(r.id for r in reversed(pool) if r.id != candidate.id)
+    return [
+        None,
+        {},
+        {levels[0]: candidate.id},  # the candidate itself: excluded
+        {level: "missing-id" for level in levels},
+        {levels[0]: other, levels[-1]: other},  # one id for two levels
+        {level: r.id for level, r in zip(levels, pool)},
+    ]
+
+
+def test_baw_equals_reference_oracle(oracle_corpus):
+    for candidate in oracle_corpus.records:
+        for exclude_id in (candidate.id, None):
+            for positions in _POSITIONS:
+                args = (oracle_corpus, candidate.year, candidate.pack)
+                got = select_best_average_worst(*args, exclude_id=exclude_id, positions=positions)
+                assert got == _oracle_best_average_worst(*args, exclude_id=exclude_id, positions=positions)
+
+
+def test_grade_exemplars_equal_reference_oracle(oracle_corpus):
+    picks_seen = 0
+    for candidate in oracle_corpus.records:
+        pool = oracle_corpus.pool(candidate.year, candidate.pack)
+        for levels in _LEVEL_SETS:
+            for manifest in _manifests(candidate, pool, levels):
+                for positions in _POSITIONS:
+                    args = (oracle_corpus, candidate.year, candidate.pack, levels)
+                    got = select_grade_exemplars(*args, exclude_id=candidate.id, manifest=manifest, positions=positions)
+                    want = _oracle_grade_exemplars(
+                        *args,
+                        exclude_id=candidate.id,
+                        manifest=manifest,
+                        task_position=positions[0] if len(positions) == 1 else None,
+                    )
+                    assert [(level, r.id) for level, r in got] == [(level, r.id) for level, r in want]
+                    assert candidate.id not in [r.id for _, r in got]
+                    picks_seen += len(got)
+    assert picks_seen > 0
+
+
+def test_grade_exemplars_stop_when_the_pool_runs_out():
+    corpus = make_corpus([make_record(f"s-{i}", (i,) * 4, (i,) * 4) for i in (1, 2, 3)])
+    got = select_grade_exemplars(corpus, 2023, "pack-a", (1, 2, 3, 4, 5), exclude_id="s-2")
+    want = _oracle_grade_exemplars(corpus, 2023, "pack-a", (1, 2, 3, 4, 5), exclude_id="s-2")
+    assert [(level, r.id) for level, r in got] == [(level, r.id) for level, r in want] == [(1, "s-1"), (2, "s-3")]
+
+
+def test_all_grades_context_equals_reference_oracle(oracle_corpus):
+    mixed = ContextStrategy(MIXED_PER_TASK, task1=ContextStrategy(ALL_GRADES), task2=ContextStrategy(ALL_GRADES))
+    for candidate in oracle_corpus.records:
+        args = (oracle_corpus, candidate.year, candidate.pack, (1, 2, 3, 4, 5))
+
+        def oracle_entries(positions):
+            return tuple(
+                _entry_for(record, position, None)
+                for position in positions
+                for _, record in _oracle_grade_exemplars(
+                    *args, exclude_id=candidate.id, task_position=position if len(positions) == 1 else None
+                )
+            )
+
+        both = build_context(oracle_corpus, None, candidate, ContextStrategy(ALL_GRADES))
+        assert both.entries == oracle_entries((1, 2))
+        per_task = build_context(oracle_corpus, None, candidate, mixed)
+        assert per_task.entries == oracle_entries((1,)) + oracle_entries((2,))

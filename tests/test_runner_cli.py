@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -288,3 +289,46 @@ def test_importing_runner_loads_no_numpy():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+# sha256 of the `context` output per (technique, candidate) on
+# make_synthetic(n=25, seed=5) with default options, recorded before the
+# grade-keyed pickers went through one routine.
+CONTEXT_SHA256 = {
+    ("baseline", "exam-001"): "a419fa29574d31bcfd42fa0c14ac8056038e102378bdb25c3127426c65707ae5",
+    ("baseline", "exam-012"): "a6b457c4666099156177b461605e969a31ff92dac64092ac4f0495a291f22aea",
+    ("baseline", "exam-025"): "218aaf4fa26cfbe2dfff34fb0b9ba828c26f1d60b3368d4adb88d119782c4a94",
+    ("rag_best_avg_worst", "exam-001"): "aa01b157a48a9d8bdb265b4bc3c3abe64711dca633dd3d97a704b0e35cde591d",
+    ("rag_best_avg_worst", "exam-012"): "40ee04739a6457acaeca1348e78fe11cf79107a670b4a9c3b09f5dc9b9d1dacc",
+    ("rag_best_avg_worst", "exam-025"): "4a7789881a8d16c8119616d2e511cf1b11ba25b98861a18a8fbc10b9a0e5fa81",
+    ("rag_most_similar", "exam-001"): "77aae4b07122e74f7eb51376ea14c46df8acdf3769acb7f98c202383b22a9a17",
+    ("rag_most_similar", "exam-012"): "0794f4a13a487560e8f6013d9057d23c94ac89087522458ba5d25e36a81c5743",
+    ("rag_most_similar", "exam-025"): "e53d896594f38b255e419b01770514eef9f0df944f46537a6c9ce49cee99c8f9",
+    ("rag_range", "exam-001"): "532fe40c2b8eb014c6def827edff86d4deb5e4420b093cbdcbc5784a0950c1cc",
+    ("rag_range", "exam-012"): "989553edef180dbad33a20a6c87dc0ee0848aef57bf383bfcfa66e18d85d4f74",
+    ("rag_range", "exam-025"): "a165db816a047ade896a92f47ce36f703e54f1c3c112eb632a96923407e7a6ac",
+    ("few_all_grades", "exam-001"): "f5d8a9f367880842adee01f9c0e825a6a69747ef1855ad662d37cd1ae4352859",
+    ("few_all_grades", "exam-012"): "68812fdd33ef7504d650601567ad5a7023725c6fc9c5a93f19f52862a4de02da",
+    ("few_all_grades", "exam-025"): "bde4afda523b58a1205fb15a4fe58fc5a7765e119686f6dcd715cece94b38970",
+    ("few_best_worst", "exam-001"): "6a71310d44ae6cf60e7d2bc5a9eaab7d7c28b5a2837854f79417d5c15c52ba31",
+    ("few_best_worst", "exam-012"): "7547a3af88b93747633052fc70b7d9fdd7202713e7b0badd2fb63f67828ade48",
+    ("few_best_worst", "exam-025"): "17c5642936c28ce1416eafe9215760d7a0f9839e4b5681062a29a2f16b6c5696",
+    ("few_mixed", "exam-001"): "2af9850e0b65ba5e6546f700388cae2a8f51b1d1c2715686001d8618b936d430",
+    ("few_mixed", "exam-012"): "e87001b1c1676a41d32c12d1fda46b82bc0824e978f2878851cbaa8d7391c5a0",
+    ("few_mixed", "exam-025"): "4b087efedcfe6cf1104305d0e425c75398529d332bdb775d86bb6f0a9bca14e0",
+    ("cot_best_worst", "exam-001"): "7094c44d3695c4c0307843d0a06557d4145385f91c09f51b446f41f5328bef92",
+    ("cot_best_worst", "exam-012"): "a89bed89e2287ca663a5c35ae8daf1cee1a869f881e1358b6a2060f01309d7f0",
+    ("cot_best_worst", "exam-025"): "ff1f11d5163ba9501acbb11dc348c581c11eb95e234c4402aa52d00d351efc31",
+}
+
+
+@pytest.mark.parametrize("technique,candidate", sorted(CONTEXT_SHA256))
+def test_cli_context_output_is_pinned(technique, candidate, synthetic_dirs_25, tmp_path, capsys):
+    exam_dir, rubric_dir = synthetic_dirs_25
+    config_file = tmp_path / "ctx.conf"
+    config_file.write_text(
+        f"corpus.path = {exam_dir}\nrubric.path = {rubric_dir}\ntechnique = {technique}\n", encoding="utf-8"
+    )
+    assert main(["context", "--config", str(config_file), "--candidate", candidate]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CONTEXT_SHA256[(technique, candidate)], out

@@ -29,7 +29,17 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .grading import DIMENSIONS, FAIL, HALF_TO_BETTER, RUBRIC_GRADES, SECTIONS, TASKS, VALID_GRADES, aggregate
+from .grading import (
+    DIMENSIONS,
+    FAIL,
+    HALF_TO_BETTER,
+    RUBRIC_GRADES,
+    SECTIONS,
+    TASKS,
+    VALID_GRADES,
+    aggregate,
+    final_to_grade,
+)
 
 TEXT_TYPES = (
     "Discussion Essay",
@@ -95,7 +105,7 @@ class GoldGrades:
         return {task: getattr(self, task).as_dict() for task in TASKS}
 
     def final_as_grade(self) -> int:
-        return 5 if self.final == FAIL else int(self.final)
+        return final_to_grade(self.final)
 
 
 @dataclass(frozen=True)

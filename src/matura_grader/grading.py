@@ -17,6 +17,13 @@ TASKS = ("task1", "task2")
 
 VALID_GRADES = (1, 2, 3, 4, 5)
 
+
+def final_to_grade(final: int | str) -> int:
+    """A final grade as a number, FAIL counted as the worst grade (5), as
+    metrics, grade coverage and reference picks count it."""
+    return VALID_GRADES[-1] if final == FAIL else int(final)
+
+
 # Grades the rubric describes; grade 5 marks failure to meet the grade-4 bar.
 RUBRIC_GRADES = VALID_GRADES[:-1]
 
@@ -52,7 +59,7 @@ class ExamOutcome:
 
     def final_as_grade(self) -> int:
         """Final grade with FAIL mapped to 5, for metric purposes."""
-        return 5 if self.final == FAIL else int(self.final)
+        return final_to_grade(self.final)
 
 
 def _check_grade(value: int, name: str = "grade") -> int:

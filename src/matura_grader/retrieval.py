@@ -6,11 +6,22 @@ most similar texts by embedding cosine, and descending-similarity selection
 until every final grade is covered n times. Noise documents of random German
 words can be appended to any selection.
 
-The index is an exact full scan of the candidate's pool. Each vector's norm
-is computed once at build, and each pair costs one C-level dot product over
-the same products and left-to-right sum as ``cosine_similarity``, so every
-similarity is bit-identical to it. numpy is left out on purpose (see
-``TaskTextIndex``).
+The index is an exact full scan of the candidate's pool, with each
+vector's norm computed once at build, on one of two paths:
+
+- the integer path, taken when the pool's vectors and the query are count
+  vectors: floats that are non-negative whole numbers, of one length, with
+  squared norms below 2**53, as the fallback embedder's bucket counts are.
+  Each dimension of the pool is packed into one big integer at build, so a
+  query is one multiply-add per dimension for the whole pool;
+- the float path, for anything else (remote float embeddings, a fractional
+  query): one C-level dot product per pair.
+
+Both are bit-identical to ``cosine_similarity``. The float path performs its
+products and left-to-right sum. On the integer path every product and
+partial sum is an integer below 2**53, which a float holds exactly, so the
+integer dot product equals that float sum. numpy is left out on purpose
+(see ``TaskTextIndex``).
 
 Embeddings come from a remote HTTP endpoint or from a deterministic
 hash-based fallback so the whole pipeline runs offline.
@@ -22,10 +33,12 @@ import hashlib
 import math
 import random
 import re
+import struct
 import zlib
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from operator import mul
+from itertools import chain, repeat
+from operator import mul, neg, truediv
 from pathlib import Path
 
 from .clients import post_json
@@ -61,9 +74,10 @@ def cosine_similarity(a, b) -> float:
     return dot / (norm_a * norm_b)
 
 
-def _norm(values: tuple[float, ...]) -> float:
-    """The Euclidean norm exactly as ``cosine_similarity`` computes it."""
-    return math.sqrt(sum(x * x for x in values))
+def _squared_norm(values) -> float:
+    """The squared Euclidean norm with the products and left-to-right sum
+    ``cosine_similarity`` uses, so its square root is that norm exactly."""
+    return sum(map(mul, values, values))
 
 
 class FallbackEmbedder:
@@ -124,63 +138,182 @@ class RemoteEmbedder:
         return EmbeddingVector(values, self.source)
 
 
-# (record, embedding values, norm of the values)
-_PoolEntry = tuple[ExamRecord, tuple[float, ...], float]
+# Below this bound every integer is a float, so float products and sums of
+# such integers are exact.
+_EXACT_BOUND = 2**53
+
+# Packed slots are staged through little-endian unsigned 64-bit words
+# (struct format "<Q") on their way to and from Python integers.
+_WORD_BYTES = 8
+
+
+def _whole_numbers(values) -> bool:
+    """Whether every value is a float holding a non-negative whole number
+    (inf and nan are not whole)."""
+    try:
+        return all(map(float.is_integer, values)) and min(values, default=0.0) >= 0
+    except TypeError:  # a value that is not a float takes the float path
+        return False
+
+
+def _exact_square(squared_norm) -> bool:
+    """Whether a squared norm from ``_squared_norm`` of whole numbers lies
+    in (0, 2**53). The squares are non-negative, so the float sum stays
+    below 2**53 only if the exact one does; the float sum is then exact."""
+    return 0 < squared_norm < _EXACT_BOUND
+
+
+def _restride(data, count: int, width: int, new_width: int) -> bytearray:
+    """``count`` little-endian slots, ``width`` bytes apart in the buffer
+    ``data``, laid out again in adjacent slots of ``new_width`` bytes; a
+    narrower slot keeps the low bytes. Each byte position is one C-level
+    strided copy."""
+    view = memoryview(data).cast("B")
+    out = bytearray(count * new_width)
+    for k in range(min(width, new_width)):
+        out[k::new_width] = view[k::width]
+    return out
+
+
+@dataclass(frozen=True)
+class _Pool:
+    """One (year, pack, task position) pool as parallel tuples, sorted by id.
+
+    ``counts`` and ``columns`` are empty unless every vector is a count
+    vector: float whole numbers, all of one length, each with a squared
+    norm in (0, 2**53). Then ``counts`` holds the vectors as integers, one
+    after the other, and ``columns[j]`` packs dimension j of vector i into
+    byte slot i, ``slot`` bytes wide: the fewest whole bytes that hold the
+    pool's largest squared norm."""
+
+    records: tuple[ExamRecord, ...]
+    ids: tuple[str, ...]
+    vectors: tuple[tuple[float, ...], ...]
+    norms: tuple[float, ...]
+    counts: tuple[int, ...] = ()
+    columns: tuple[int, ...] = ()
+    slot: int = 0
+
+    @classmethod
+    def pack(cls, records: tuple[ExamRecord, ...], vectors: tuple[tuple[float, ...], ...]) -> "_Pool":
+        squares = [_squared_norm(values) for values in vectors]
+        ids = tuple(record.id for record in records)
+        norms = tuple(map(math.sqrt, squares))
+        flat = tuple(chain.from_iterable(vectors))
+        if len(set(map(len, vectors))) != 1 or not all(map(_exact_square, squares)) or not _whole_numbers(flat):
+            return cls(records, ids, vectors, norms)
+        counts = tuple(map(int, flat))
+        raw = memoryview(struct.pack(f"<{len(counts)}Q", *counts))
+        dim = len(vectors[0])
+        slot = (int(max(squares)).bit_length() + 7) // 8
+        columns = tuple(
+            int.from_bytes(_restride(raw[j * _WORD_BYTES :], len(records), dim * _WORD_BYTES, slot), "little")
+            for j in range(dim)
+        )
+        return cls(records, ids, vectors, norms, counts, columns, slot)
+
+    def member_counts(self, member: int) -> tuple[int, ...] | None:
+        """Pool vector ``member`` as integers, or None without columns."""
+        dim = len(self.columns)
+        return self.counts[member * dim : (member + 1) * dim] if dim else None
+
+    def fit(self, values, squared_norm) -> tuple[int, ...] | None:
+        """A non-member query as integers when it can take the integer
+        path: the pool has columns, and the query is a count vector of the
+        pool's length whose squared norm fits a slot. By Cauchy-Schwarz a
+        dot product is at most the larger of the two squared norms, so then
+        no slot carries into the next."""
+        if not (self.columns and len(values) == len(self.columns) and _exact_square(squared_norm)):
+            return None
+        if int(squared_norm).bit_length() > 8 * self.slot or not _whole_numbers(values):
+            return None
+        return tuple(map(int, values))
+
+    def dots(self, counts) -> tuple[int, ...]:
+        """The exact dot product of ``counts`` with every vector, in pool
+        order: one big-integer multiply-add per dimension."""
+        total = sum(map(mul, counts, self.columns))
+        packed = total.to_bytes(len(self.ids) * self.slot, "little")
+        return struct.unpack(f"<{len(self.ids)}Q", _restride(packed, len(self.ids), self.slot, _WORD_BYTES))
+
+
+_EMPTY_POOL = _Pool((), (), (), ())
 
 
 class TaskTextIndex:
     """Immutable similarity index over task texts, one pool per
     (year, pack, task position). Queries are exact full scans.
 
-    Each pool entry keeps its vector's norm, computed once at build with
-    the expression ``cosine_similarity`` uses; a query then costs one
-    ``sum(map(mul, ...))`` per pair. The products and their left-to-right
-    sum are the operations of ``cosine_similarity``, so every similarity,
-    and with it every ranking and tie, is bit-identical to the scalar
-    oracle. The scan stays in pure Python on purpose: importing numpy adds
-    about 13 MiB of resident memory, some 30% of a 300-exam mock run's peak."""
+    Each vector's norm is computed once at build with the products and sum
+    ``cosine_similarity`` uses. A query takes one of two paths, and both
+    give every similarity, and with it every ranking and tie, bit-identical
+    to the scalar oracle:
 
-    def __init__(self, embedder, pools: dict[tuple[int, str, int], tuple[_PoolEntry, ...]]):
+    - Integer path, for count vectors: every pool vector and the query hold
+      floats that are non-negative whole numbers, share one length and have
+      squared norms in (0, 2**53), as the fallback embedder's bucket counts
+      do. One big-integer multiply-add per dimension over the packed
+      columns (``_Pool``) yields the query's dot product with every pool
+      vector at once. Every product and partial sum of such a dot product is an
+      integer below 2**53, which a float holds exactly, so the integer
+      equals the float sum ``cosine_similarity`` computes.
+    - Float path, for everything else (remote float embeddings, a query
+      with a fractional value or too large a norm, a zero vector, mixed
+      lengths): one ``sum(map(mul, ...))`` per pair, the products and
+      left-to-right sum of ``cosine_similarity``, with its errors.
+
+    The scan stays in pure Python on purpose: importing numpy adds about
+    13 MiB of resident memory, some 30% of a 300-exam mock run's peak."""
+
+    def __init__(self, embedder, pools: dict[tuple[int, str, int], _Pool]):
         self._embedder = embedder
         self._pools = pools
 
     @classmethod
     def build(cls, corpus: Corpus, embedder) -> "TaskTextIndex":
-        pools: dict[tuple[int, str, int], list[_PoolEntry]] = {}
+        pools: dict[tuple[int, str, int], list[tuple[ExamRecord, tuple[float, ...]]]] = {}
         for record in sorted(corpus.records, key=lambda r: r.id):
             for position in (1, 2):
                 key = (record.year, record.pack, position)
-                values = embedder.embed(record.task(position).body).values
-                pools.setdefault(key, []).append((record, values, _norm(values)))
-        return cls(embedder, {key: tuple(entries) for key, entries in pools.items()})
+                pools.setdefault(key, []).append((record, embedder.embed(record.task(position).body).values))
+        return cls(embedder, {key: _Pool.pack(*zip(*entries)) for key, entries in pools.items()})
 
     def pool_size(self, year: int, pack: str, position: int) -> int:
-        return len(self._pools.get((year, pack, position), ()))
+        return len(self._pools.get((year, pack, position), _EMPTY_POOL).ids)
 
     def query(
         self, year: int, pack: str, position: int, candidate: ExamRecord
     ) -> list[tuple[ExamRecord, float]]:
         """All pool texts ranked by similarity to the candidate's task text,
         candidate excluded; ties broken by id."""
-        pool = self._pools.get((year, pack, position), ())
-        for record, values, norm in pool:
-            if record.id == candidate.id:
-                query_values, query_norm = values, norm
-                break
-        else:
+        pool = self._pools.get((year, pack, position), _EMPTY_POOL)
+        try:
+            member = pool.ids.index(candidate.id)
+        except ValueError:
             query_values = self._embedder.embed(candidate.task(position).body).values
-            query_norm = _norm(query_values)
-        ranked = []
-        for record, values, norm in pool:
-            if record.id == candidate.id:
-                continue
-            if len(query_values) != len(values):
-                raise ValueError(f"vector length mismatch: {len(query_values)} vs {len(values)}")
-            if query_norm == 0.0 or norm == 0.0:
-                raise ValueError("cosine similarity undefined for zero-norm vector")
-            ranked.append((record, sum(map(mul, query_values, values)) / (query_norm * norm)))
-        ranked.sort(key=lambda item: (-item[1], item[0].id))
-        return ranked
+            squared_norm = _squared_norm(query_values)
+            query_norm = math.sqrt(squared_norm)
+            query_counts = pool.fit(query_values, squared_norm)
+        else:
+            query_values, query_norm = pool.vectors[member], pool.norms[member]
+            query_counts = pool.member_counts(member)
+        if query_counts is not None:
+            similarities = map(truediv, pool.dots(query_counts), map(mul, repeat(query_norm), pool.norms))
+            ranked = sorted(zip(map(neg, similarities), pool.ids, pool.records))
+        else:
+            ranked = []
+            for record, values, norm in zip(pool.records, pool.vectors, pool.norms):
+                if record.id == candidate.id:
+                    continue
+                if len(query_values) != len(values):
+                    raise ValueError(f"vector length mismatch: {len(query_values)} vs {len(values)}")
+                if query_norm == 0.0 or norm == 0.0:
+                    raise ValueError("cosine similarity undefined for zero-norm vector")
+                ranked.append((-(sum(map(mul, query_values, values)) / (query_norm * norm)), record.id, record))
+            ranked.sort()
+        # Rows are (-similarity, id, record); ids are unique in a pool, so
+        # the sort never compares records.
+        return [(record, -negated) for negated, record_id, record in ranked if record_id != candidate.id]
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,12 @@ from matura_grader.grading import (
     aggregate,
     combine_k3,
     final_grade,
+    final_to_grade,
     round_grade,
     section_grade,
 )
+
+from conftest import make_record
 
 
 def oracle_round(num: int, den: int, half_to_better: bool = True) -> int:
@@ -226,3 +229,14 @@ def test_grade_sheet_names_are_written_out_only_in_grading():
     }
     assert offenders == {}
     assert _grade_sheet_literals(Path(grading.__file__).read_text(encoding="utf-8"))
+
+
+def test_fail_counts_as_grade_5_on_both_grade_sheets():
+    assert [final_to_grade(final) for final in (*RUBRIC_GRADES, FAIL)] == list(VALID_GRADES)
+    finals = set()
+    for task1, task2 in [((1,) * 4, (1,) * 4), ((3, 2, 4, 1), (2, 2, 3, 3)), ((4,) * 4, (4,) * 4), ((5,) * 4, (5,) * 4)]:
+        outcome = aggregate({TASKS[0]: dict(zip(DIMENSIONS, task1)), TASKS[1]: dict(zip(DIMENSIONS, task2))})
+        gold = make_record("g-1", task1, task2).gold
+        assert outcome.final_as_grade() == gold.final_as_grade() == final_to_grade(outcome.final)
+        finals.add(outcome.final)
+    assert FAIL in finals

@@ -3,12 +3,12 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from matura_grader.clients import MockChatClient, ScriptedChatClient, assessment_json
 from matura_grader.corpus import RubricSet
-from matura_grader.grading import DIMENSIONS, FAIL
+from matura_grader.grading import DIMENSIONS, FAIL, HALF_TO_BETTER, HALF_TO_WORSE, TASKS, VALID_GRADES, aggregate
 from matura_grader.orchestrator import (
     AwaitModelGuess,
     _first_json_object,
@@ -316,6 +316,37 @@ def test_parse_assessment_never_raises_and_extractor_matches_slicing(raw):
     assert repr(_first_json_object(raw)) == repr(_first_json_object_by_slicing(raw))
     assessment = parse_assessment(raw)
     assert assessment.raw == raw
+
+
+def _sheets(grades):
+    """JSON grade sheets with every grade drawn from ``grades``."""
+    task = st.fixed_dictionaries(
+        {dim: grades for dim in DIMENSIONS}, optional={"feedback": st.text() | st.integers() | st.none()}
+    )
+    return st.fixed_dictionaries({name: task for name in TASKS}, optional={"note": _JSON_VALUES}).map(json.dumps)
+
+
+_ANY_GRADE = st.sampled_from(VALID_GRADES) | st.integers(-1, 7) | st.booleans() | st.floats() | st.text(max_size=2)
+
+
+@settings(deadline=None)
+@example(assessment_json({d: 1 for d in DIMENSIONS}, {d: 5 for d in DIMENSIONS}))
+@example(assessment_json({d: 5 for d in DIMENSIONS}, {d: 4 for d in DIMENSIONS}))
+@given(
+    st.one_of(
+        st.text(),
+        st.lists(_JSONISH, max_size=30).map("".join),
+        st.tuples(st.text(), _sheets(st.sampled_from(VALID_GRADES)) | _sheets(_ANY_GRADE), st.text()).map("".join),
+    )
+)
+def test_valid_assessment_always_aggregates(raw):
+    assessment = parse_assessment(raw)
+    event(f"valid={assessment.valid}")
+    if not assessment.valid:
+        return
+    for half in (HALF_TO_BETTER, HALF_TO_WORSE):
+        outcome = aggregate(assessment.sub_dimensions(), half)
+        assert outcome.final == FAIL or outcome.final in VALID_GRADES
 
 
 @pytest.mark.parametrize(

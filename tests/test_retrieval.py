@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import math
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -605,3 +608,168 @@ def test_all_grades_context_equals_reference_oracle(oracle_corpus):
         assert both.entries == oracle_entries((1, 2))
         per_task = build_context(oracle_corpus, None, candidate, mixed)
         assert per_task.entries == oracle_entries((1,)) + oracle_entries((2,))
+
+
+# The index's integer path (count vectors packed into big-integer columns)
+# against the float oracle. Every comparison below is exact.
+
+
+def _outsider(member, body1, body2):
+    """A copy of ``member`` under another id with other task bodies."""
+    bodies = (body1, body2)
+    return replace(
+        member, id="outsider", tasks=tuple(replace(task, body=body) for task, body in zip(member.tasks, bodies))
+    )
+
+
+def _table_corpus(vectors):
+    """One record per vector, both task bodies mapped to that vector."""
+    table = {f"text-{i:02d}": tuple(vector) for i, vector in enumerate(vectors)}
+    records = [make_record(f"t-{i:02d}", (2,) * 4, (3,) * 4, body1=body, body2=body) for i, body in enumerate(table)]
+    return make_corpus(records), table
+
+
+def _table_scan(corpus, table, candidate, position):
+    """The reference ranking for a table embedder: cosine_similarity."""
+    query = table[candidate.task(position).body]
+    scored = [
+        (record.id, cosine_similarity(query, table[record.task(position).body]))
+        for record in corpus.pool(candidate.year, candidate.pack)
+        if record.id != candidate.id
+    ]
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return scored
+
+
+def _ranking(index, candidate, position, year=2023, pack="pack-a"):
+    return [(record.id, similarity) for record, similarity in index.query(year, pack, position, candidate)]
+
+
+def _random_counts(seed, count, dim, high=4):
+    rng = random.Random(seed)
+    return [tuple(float(rng.randint(0, high)) for _ in range(dim)) for _ in range(count)]
+
+
+def test_integer_path_serves_every_fallback_query(corpus_60_with_ties):
+    corpus = corpus_60_with_ties
+    index = TaskTextIndex.build(corpus, FallbackEmbedder())
+    assert index._pools and all(pool.columns and pool.counts for pool in index._pools.values())
+    for candidate in corpus.records:
+        for position in (1, 2):
+            assert _ranking(index, candidate, position, candidate.year, candidate.pack) == _full_scan(
+                corpus, candidate, position
+            )
+    member = corpus.get("exam-010")
+    outsider = _outsider(member, make_body("outsider-a", 150), make_body("outsider-b", 150))
+    for position in (1, 2):
+        pool = index._pools[(member.year, member.pack, position)]
+        values = FallbackEmbedder().embed(outsider.task(position).body).values
+        assert pool.fit(values, sum(x * x for x in values)) is not None
+        assert _ranking(index, outsider, position, member.year, member.pack) == _full_scan(corpus, outsider, position)
+
+
+@pytest.mark.parametrize(
+    "odd_vector",
+    [(1.0, -1.0, 2.0, 0.0), (1.0, 0.5, 2.0, 0.0), (1.0, 2.0, 3.0)],
+    ids=["negative", "fractional", "shorter"],
+)
+def test_pool_with_an_odd_vector_takes_the_float_path(odd_vector):
+    vectors = _random_counts("float-path", 12, 4)
+    vectors[5] = vectors[9]  # an exact tie
+    corpus, table = _table_corpus(vectors + [odd_vector])
+    index = TaskTextIndex.build(corpus, _TableEmbedder(table))
+    pool = index._pools[(2023, "pack-a", 1)]
+    assert pool.columns == () and pool.counts == ()
+    odd = corpus.records[-1]
+    for candidate in corpus.records:
+        if len(odd_vector) == 4:
+            assert _ranking(index, candidate, 1) == _table_scan(corpus, table, candidate, 1)
+            continue
+        # The odd record sorts last, so a query meets it last or starts from it.
+        first_mismatch = odd_vector if candidate is not odd else vectors[0]
+        with pytest.raises(ValueError) as want:
+            cosine_similarity(table[candidate.task(1).body], first_mismatch)
+        with pytest.raises(ValueError, match="length mismatch") as got:
+            index.query(2023, "pack-a", 1, candidate)
+        assert str(got.value) == str(want.value)
+
+
+def test_pool_with_squared_norms_past_2_53_takes_the_float_path():
+    # (2**27 + 1)**2 + 2 rounds to another float when summed in floats than
+    # when computed exactly, so only the float path matches the oracle.
+    big = 2.0**27 + 1
+    vectors = _random_counts("past-2-53", 6, 4) + [(big, 1.0, 0.0, 0.0), (big, 2.0, 0.0, 0.0)]
+    corpus, table = _table_corpus(vectors)
+    index = TaskTextIndex.build(corpus, _TableEmbedder(table))
+    assert index._pools[(2023, "pack-a", 1)].columns == ()
+    for candidate in corpus.records:
+        assert _ranking(index, candidate, 1) == _table_scan(corpus, table, candidate, 1)
+
+
+def test_integer_path_with_counts_past_a_32_bit_slot():
+    vectors = _random_counts("big-counts", 16, 8)
+    for i in (2, 7, 11):
+        vectors[i] = (70_000.0,) + vectors[i][1:]
+    vectors[4] = vectors[7]
+    corpus, table = _table_corpus(vectors)
+    index = TaskTextIndex.build(corpus, _TableEmbedder(table))
+    pool = index._pools[(2023, "pack-a", 1)]
+    assert pool.columns and 8 * pool.slot > 32
+    assert 70_000**2 > 2**32
+    for candidate in corpus.records:
+        assert _ranking(index, candidate, 1) == _table_scan(corpus, table, candidate, 1)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [(0.5, 1.0, 2.0, 0.0, 1.0, 0.0), (1.0, 1.0, 1.0, 0.0, 0.0, 3.0), (1000.0, 1.0, 0.0, 0.0, 2.0, 0.0)],
+    ids=["fractional", "count_vector", "norm_past_the_slot"],
+)
+def test_non_member_query_against_an_integer_pool(query):
+    vectors = _random_counts("small-counts", 20, 6, high=3)
+    vectors[3] = vectors[8]
+    corpus, table = _table_corpus(vectors)
+    table["query"] = query
+    index = TaskTextIndex.build(corpus, _TableEmbedder(table))
+    pool = index._pools[(2023, "pack-a", 1)]
+    assert pool.columns and pool.slot == 1
+    counts = pool.fit(query, sum(x * x for x in query))
+    assert (counts is not None) == (query == (1.0, 1.0, 1.0, 0.0, 0.0, 3.0))
+    outsider = _outsider(corpus.records[0], "query", "query")
+    assert _ranking(index, outsider, 1) == _table_scan(make_corpus(corpus.records + (outsider,)), table, outsider, 1)
+
+
+@pytest.mark.parametrize("query", [(1.0, 2.0, 1.0), (1.0,) * 7], ids=["shorter", "longer"])
+def test_non_member_query_of_another_length_against_an_integer_pool(query):
+    corpus, table = _table_corpus(_random_counts("small-counts", 20, 6, high=3))
+    table["query"] = query
+    index = TaskTextIndex.build(corpus, _TableEmbedder(table))
+    assert index._pools[(2023, "pack-a", 1)].columns
+    with pytest.raises(ValueError) as want:
+        cosine_similarity(query, table[corpus.records[0].task(1).body])
+    with pytest.raises(ValueError, match="length mismatch") as got:
+        index.query(2023, "pack-a", 1, _outsider(corpus.records[0], "query", "query"))
+    assert str(got.value) == str(want.value)
+
+
+def test_concurrent_queries_equal_the_serial_sweep(corpus_60_with_ties):
+    corpus = corpus_60_with_ties
+    index = TaskTextIndex.build(corpus, FallbackEmbedder())
+    member = corpus.get("exam-010")
+    candidates = list(corpus.records) + [_outsider(member, make_body("sweep-a", 150), make_body("sweep-b", 150))]
+    jobs = [(candidate, position) for candidate in candidates for position in (1, 2)]
+
+    def sweep(job):
+        candidate, position = job
+        return _ranking(index, candidate, position, candidate.year, candidate.pack)
+
+    serial = [sweep(job) for job in jobs]
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(sweep, job) for job in jobs]
+            concurrent = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert concurrent == serial

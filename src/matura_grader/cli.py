@@ -65,6 +65,7 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_context(args) -> int:
     cfg = load_config(args.config)
+    manifest = load_exemplar_manifest(cfg.exemplars_path)
     corpus = load_corpus(cfg.corpus_path, trust_stored_grades=cfg.trust_stored_grades, half=cfg.round_half)
     if not corpus.records:
         print(f"no usable exams in {cfg.corpus_path}", file=sys.stderr)
@@ -73,7 +74,6 @@ def _cmd_context(args) -> int:
     rubrics = load_rubrics(cfg.rubric_path)
     plan = technique_plan(cfg)
     index = TaskTextIndex.build(corpus, make_embedder(cfg)) if plan.needs_index else None
-    manifest = load_exemplar_manifest(cfg.exemplars_path)
     _, selection, calibration = build_candidate_script(cfg, corpus, index, rubrics, candidate, plan, manifest)
 
     print(f"candidate: {candidate.id} ({candidate.year}/{candidate.pack}), technique: {plan.label}")

@@ -37,6 +37,7 @@ from .grading import (
     SECTIONS,
     TASKS,
     VALID_GRADES,
+    TaskGrades,
     aggregate,
     final_to_grade,
 )
@@ -80,17 +81,6 @@ class TaskText:
 
 
 @dataclass(frozen=True)
-class TaskGrades:
-    content: int
-    structure: int
-    language_norms: int
-    style_expression: int
-
-    def as_dict(self) -> dict[str, int]:
-        return {dim: getattr(self, dim) for dim in DIMENSIONS}
-
-
-@dataclass(frozen=True)
 class GoldGrades:
     task1: TaskGrades
     task2: TaskGrades
@@ -101,8 +91,12 @@ class GoldGrades:
     k3: int
     final: int | str  # 1..5 or FAIL
 
+    def task(self, position: int) -> TaskGrades:
+        """Grades of the task at position 1 or 2."""
+        return (self.task1, self.task2)[position - 1]
+
     def sub_dimensions(self) -> dict[str, dict[str, int]]:
-        return {task: getattr(self, task).as_dict() for task in TASKS}
+        return {task: self.task(position).as_dict() for position, task in enumerate(TASKS, start=1)}
 
     def final_as_grade(self) -> int:
         return final_to_grade(self.final)
@@ -177,7 +171,8 @@ def _record_to_dict(r: ExamRecord) -> dict:
         "year": r.year,
         "pack": r.pack,
         "tasks": [{"text_type": t.text_type, "body": t.body} for t in r.tasks],
-        "gold": asdict(r.gold),
+        # asdict keeps TaskGrades as tuples; the task grades are written as objects
+        "gold": {**asdict(r.gold), **r.gold.sub_dimensions()},
     }
 
 
@@ -193,7 +188,7 @@ def _require(data: dict, key: str, kind: type, where: str) -> object:
 
 
 def _parse_task_grades(data: dict, where: str) -> TaskGrades:
-    return TaskGrades(**{dim: _require(data, dim, int, where) for dim in DIMENSIONS})
+    return TaskGrades(*(_require(data, dim, int, where) for dim in DIMENSIONS))
 
 
 def parse_record(data: dict) -> ExamRecord:
@@ -236,9 +231,7 @@ def validate_record(record: ExamRecord, half: str = HALF_TO_BETTER) -> Validatio
             violations.append(f"unknown text_type for task {position}: {task.text_type!r}")
         if not task.body:
             violations.append(f"task {position} body is empty after normalization")
-        grades = getattr(record.gold, name)
-        for dim in DIMENSIONS:
-            value = getattr(grades, dim)
+        for dim, value in zip(DIMENSIONS, record.gold.task(position)):
             if value not in VALID_GRADES:
                 violations.append(f"grade out of range: {name}.{dim} = {value}")
     for name in SECTIONS:

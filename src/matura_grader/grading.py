@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 FAIL = "fail"
 
@@ -32,7 +33,20 @@ RUBRIC_GRADES = VALID_GRADES[:-1]
 HALF_TO_BETTER = "better"
 HALF_TO_WORSE = "worse"
 
-DIMENSIONS = ("content", "structure", "language_norms", "style_expression")
+
+class TaskGrades(NamedTuple):
+    """One task's four rubric grades; a plain tuple in DIMENSIONS order."""
+
+    content: int
+    structure: int
+    language_norms: int
+    style_expression: int
+
+    def as_dict(self) -> dict[str, int]:
+        return self._asdict()
+
+
+DIMENSIONS = TaskGrades._fields
 
 
 @dataclass(frozen=True)

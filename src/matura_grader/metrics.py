@@ -112,9 +112,8 @@ def _dimension_pairs(outcome, record) -> list[tuple[int, int]]:
     """(predicted, gold) for each of DIMENSION_KEYS, in that order."""
     predicted = outcome.assessment.sub_dimensions()
     pairs = [(outcome.derived.final_as_grade(), record.gold.final_as_grade())]
-    for task in TASKS:
-        gold = getattr(record.gold, task).as_dict()
-        pairs.extend((predicted[task][dim], gold[dim]) for dim in DIMENSIONS)
+    for position, task in enumerate(TASKS, start=1):
+        pairs.extend((predicted[task][dim], gold) for dim, gold in zip(DIMENSIONS, record.gold.task(position)))
     return pairs
 
 

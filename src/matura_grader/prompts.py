@@ -12,7 +12,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .corpus import ExamRecord, RubricSet
-from .grading import DIMENSIONS, RUBRIC_GRADES, TASKS
+from .grading import DIMENSIONS, RUBRIC_GRADES
 from .retrieval import ContextEntry, ContextSelection
 
 _TEMPLATE_DIR = Path(__file__).parent / "templates"
@@ -129,7 +129,7 @@ def render_calibration_message(index: int, exam: ExamRecord, positions: tuple[in
 def render_reveal_gold(exam: ExamRecord, positions: tuple[int, ...]) -> str:
     lines = []
     for position in positions:
-        grades = getattr(exam.gold, TASKS[position - 1]).as_dict()
+        grades = exam.gold.task(position).as_dict()
         prefix = f"Aufgabe {position}: " if len(positions) > 1 else ""
         lines.append(prefix + grades_line(grades, exam.gold.final_as_grade() if position == positions[-1] else None))
     return template("reveal_gold").format(exam_id=exam.id, grades="; ".join(lines))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from .grading import DIMENSIONS, VALID_GRADES
+from .grading import DIMENSIONS, TASKS, VALID_GRADES
 from .metrics import DIMENSION_KEYS, DimensionReport, EvaluationReport
 
 UNDEFINED = "—"
@@ -35,8 +35,9 @@ def format_accuracy_value(value: float | None) -> str:
 
 
 def _row(technique: str, values: list[str]) -> str:
-    grade, task1, task2 = values[0], values[1:5], values[5:9]
-    return f"{technique} & {grade} & {'/'.join(task1)} & {'/'.join(task2)}"
+    width = len(DIMENSIONS)
+    tasks = ("/".join(values[start : start + width]) for start in range(1, 1 + len(TASKS) * width, width))
+    return " & ".join((technique, values[0], *tasks))
 
 
 def _ordered_values(report: EvaluationReport, pick) -> list[str]:

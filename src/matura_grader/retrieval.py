@@ -38,12 +38,12 @@ import zlib
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, repeat
-from operator import mul, neg, truediv
+from operator import mul, neg, sub, truediv
 from pathlib import Path
 
 from .clients import post_json
 from .corpus import Corpus, ExamRecord, normalize_text
-from .grading import DIMENSIONS, TASKS, VALID_GRADES
+from .grading import VALID_GRADES
 
 FALLBACK_DIM = 128
 
@@ -377,12 +377,11 @@ class ContextStrategy:
 
 
 def _entry_for(record: ExamRecord, position: int, similarity: float | None) -> ContextEntry:
-    grades = getattr(record.gold, TASKS[position - 1])
     return ContextEntry(
         exam_id=record.id,
         task_position=position,
         body=record.task(position).body,
-        gold=grades.as_dict(),
+        gold=record.gold.task(position).as_dict(),
         final_grade=record.gold.final_as_grade(),
         similarity=similarity,
     )
@@ -391,27 +390,20 @@ def _entry_for(record: ExamRecord, position: int, similarity: float | None) -> C
 def _grade_distance(record: ExamRecord, level: int, positions: tuple[int, ...] = (1, 2)) -> int:
     """Sum of |grade - level| over the sub-dimension grades of the tasks in
     ``positions``; at level 0 the plain sum of those grades."""
-    return sum(
-        abs(getattr(getattr(record.gold, TASKS[position - 1]), dim) - level)
-        for position in positions
-        for dim in DIMENSIONS
-    )
+    return sum(abs(grade - level) for position in positions for grade in record.gold.task(position))
 
 
 def _pick_distinct(eligible: list[ExamRecord], keys) -> list[ExamRecord]:
     """Greedy: for each key in turn, the not yet picked record with the
     smallest key. Records are told apart by id. Stops early when the
     eligible records run out."""
-    picked: list[ExamRecord] = []
-    taken: set[str] = set()
+    taken: dict[str, ExamRecord] = {}
     for key in keys:
-        remaining = [r for r in eligible if r.id not in taken]
-        if not remaining:
+        record = min((r for r in eligible if r.id not in taken), key=key, default=None)
+        if record is None:
             break
-        record = min(remaining, key=key)
-        taken.add(record.id)
-        picked.append(record)
-    return picked
+        taken[record.id] = record
+    return list(taken.values())
 
 
 def select_best_average_worst(
@@ -435,24 +427,14 @@ def select_best_average_worst(
 
     # Pack means are computed over the full pool so the notion of "average"
     # does not shift with the excluded candidate.
-    means: dict[tuple[str, str], float] = {}
-    for task in TASKS:
-        for dim in DIMENSIONS:
-            means[(task, dim)] = sum(getattr(getattr(r.gold, task), dim) for r in pool) / len(pool)
-
-    def l1_to_means(record: ExamRecord) -> float:
-        return sum(
-            abs(getattr(getattr(record.gold, task), dim) - means[(task, dim)])
-            for task in TASKS
-            for dim in DIMENSIONS
-        )
+    means = [sum(column) / len(pool) for column in zip(*(r.gold.task1 + r.gold.task2 for r in pool))]
 
     best, worst, average = _pick_distinct(
         eligible,
         (
             lambda r: (r.gold.final_as_grade(), _grade_distance(r, 0), r.id),
             lambda r: (-r.gold.final_as_grade(), -_grade_distance(r, 0), r.id),
-            lambda r: (l1_to_means(r), r.id),
+            lambda r: (sum(map(abs, map(sub, r.gold.task1 + r.gold.task2, means))), r.id),
         ),
     )
     entries = tuple(

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .clients import ChatClient, HttpChatClient, MockChatClient, parse_policy
-from .config import TECHNIQUES, ExperimentConfig, config_hash, technique_label
+from .config import TECHNIQUES, ConfigError, ExperimentConfig, config_hash, technique_label
 from .corpus import Corpus, ExamRecord, RubricSet, load_corpus, load_rubrics
-from .grading import TASKS, aggregate
+from .grading import TASKS, VALID_GRADES, aggregate
 from .metrics import EvaluationReport, build_report
 from .orchestrator import (
     CalibrationItem,
@@ -89,15 +90,33 @@ def make_client(cfg: ExperimentConfig, corpus: Corpus) -> ChatClient:
     return MockChatClient(policy, grade=grade, corpus=corpus)
 
 
+_MANIFEST_KEY = re.compile(r"([0-9]+)/(.+)", re.DOTALL)
+_MANIFEST_LEVELS = {str(grade): grade for grade in VALID_GRADES}
+
+
 def load_exemplar_manifest(path: str) -> dict[tuple[int, str], dict[int, str]]:
-    """Curated exemplar ids: {"<year>/<pack>": {"1": id, ..., "5": id}}."""
+    """Curated exemplar ids: {"<year>/<pack>": {"1": id, ..., "5": id}}.
+
+    Raises ConfigError naming the file and the key on a malformed manifest."""
     if not path:
         return {}
     data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: exemplar manifest must be a JSON object, got {type(data).__name__}")
     manifest: dict[tuple[int, str], dict[int, str]] = {}
     for key, levels in data.items():
-        year, _, pack = key.partition("/")
-        manifest[(int(year), pack)] = {int(level): exam_id for level, exam_id in levels.items()}
+        where = f"{path}: exemplar manifest key {key!r}"
+        match = _MANIFEST_KEY.fullmatch(key)
+        if match is None:
+            raise ConfigError(f"{where} must be <year>/<pack>")
+        if not isinstance(levels, dict):
+            raise ConfigError(f"{where}: entry must be an object, got {type(levels).__name__}")
+        for level, exam_id in levels.items():
+            if level not in _MANIFEST_LEVELS:
+                raise ConfigError(f"{where}: level must be one of {', '.join(_MANIFEST_LEVELS)}, got {level!r}")
+            if not isinstance(exam_id, str):
+                raise ConfigError(f"{where}: id for level {level} must be a string, got {exam_id!r}")
+        manifest[(int(match[1]), match[2])] = {_MANIFEST_LEVELS[level]: exam_id for level, exam_id in levels.items()}
     return manifest
 
 
@@ -168,6 +187,7 @@ def run_experiment(
     are built from the configuration. A failing candidate never aborts the
     run; it is recorded as errored.
     """
+    manifest = load_exemplar_manifest(cfg.exemplars_path)
     corpus = load_corpus(cfg.corpus_path, trust_stored_grades=cfg.trust_stored_grades, half=cfg.round_half)
     if not corpus.records:
         raise RuntimeError(f"no usable exams in {cfg.corpus_path}")
@@ -176,7 +196,6 @@ def run_experiment(
     rubrics = load_rubrics(cfg.rubric_path)
 
     plan = technique_plan(cfg)
-    manifest = load_exemplar_manifest(cfg.exemplars_path)
     index = None
     if plan.needs_index:
         index = TaskTextIndex.build(corpus, embedder or make_embedder(cfg))
@@ -259,15 +278,26 @@ def rescore_predictions(
 ) -> EvaluationReport:
     """Rebuild an EvaluationReport from a stored predictions.jsonl file."""
     outcomes: list[GradeOutcome] = []
-    for line in Path(predictions_path).read_text(encoding="utf-8").splitlines():
+    lines = Path(predictions_path).read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        data = json.loads(line)
+        where = f"{predictions_path}:{number}"
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{where}: not valid JSON ({exc})") from None
+        if not isinstance(data, dict) or not isinstance(data.get("id"), str):
+            raise ValueError(f"{where}: a prediction must be a JSON object with a string id")
         assessment = None
         derived = None
         if data.get("assessment"):
             block = data["assessment"]
+            if not isinstance(block, dict):
+                raise ValueError(f"{where}: assessment must be an object, got {type(block).__name__}")
             valid = data.get("valid", False) and not data.get("error")
+            if valid and not all(isinstance(block.get(task), dict) for task in TASKS):
+                raise ValueError(f"{where}: a valid prediction needs objects as " + " and ".join(TASKS))
             assessment = ModelAssessment(
                 **{task: block.get(task) for task in TASKS},
                 feedback=block.get("feedback") or {},
@@ -276,7 +306,10 @@ def rescore_predictions(
                 failure_reason=block.get("failure_reason"),
             )
             if valid:
-                derived = aggregate(assessment.sub_dimensions(), half)
+                try:
+                    derived = aggregate(assessment.sub_dimensions(), half)
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
         outcomes.append(
             GradeOutcome(
                 exam_id=data["id"],

@@ -297,6 +297,22 @@ def test_to_json_is_pinned(corpus_25):
     assert hashlib.sha256(corpus_25.to_json().encode("utf-8")).hexdigest() == TO_JSON_SHA256
 
 
+def test_gold_task_reads_a_task_by_position():
+    gold = make_record("t-1", (1, 2, 3, 4), (4, 3, 2, 2)).gold
+    assert gold.task(1) is gold.task1 and gold.task(2) is gold.task2
+    assert tuple(gold.task(1)) == (1, 2, 3, 4)
+    assert tuple(gold.task(2)) == (4, 3, 2, 2)
+    assert gold.sub_dimensions() == {"task1": gold.task1.as_dict(), "task2": gold.task2.as_dict()}
+
+
+def test_to_json_writes_task_grades_as_objects(corpus_25):
+    written = json.loads(corpus_25.to_json())
+    assert [entry["gold"] for entry in written] == [_record_json(r)["gold"] for r in corpus_25.records]
+    for entry in written:
+        for task in ("task1", "task2"):
+            assert isinstance(entry["gold"][task], dict)
+
+
 def test_validate_record_reports_every_inconsistent_section():
     record = make_record("inc", (2, 2, 2, 2), (4, 4, 4, 4))
     gold = replace(record.gold, k1=1, k3_2=5, final=1)

@@ -17,6 +17,7 @@ from matura_grader.grading import (
     SECTIONS,
     TASKS,
     VALID_GRADES,
+    TaskGrades,
     aggregate,
     combine_k3,
     final_grade,
@@ -195,10 +196,19 @@ def test_grade_sheet_names():
     assert RUBRIC_GRADES == (1, 2, 3, 4)
 
 
+def test_dimensions_are_the_task_grade_fields():
+    assert DIMENSIONS == TaskGrades._fields == ("content", "structure", "language_norms", "style_expression")
+    grades = TaskGrades(1, 2, 3, 4)
+    assert grades == (1, 2, 3, 4)
+    assert grades.as_dict() == {"content": 1, "structure": 2, "language_norms": 3, "style_expression": 4}
+    assert list(grades.as_dict()) == list(DIMENSIONS)
+
+
 # The grade sheet's names are written out in grading.py only; every other
-# module iterates TASKS, SECTIONS, VALID_GRADES and RUBRIC_GRADES.
+# module iterates TASKS, DIMENSIONS, SECTIONS, VALID_GRADES and RUBRIC_GRADES.
 _GRADE_SHEET_LITERALS = {
     ("task1", "task2"),
+    ("content", "structure", "language_norms", "style_expression"),
     (1, 2, 3, 4, 5),
     (1, 2, 3, 4),
     ("k1", "k2", "k3_1", "k3_2", "k3"),

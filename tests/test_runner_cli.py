@@ -332,3 +332,67 @@ def test_cli_context_output_is_pinned(technique, candidate, synthetic_dirs_25, t
     assert main(["context", "--config", str(config_file), "--candidate", candidate]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CONTEXT_SHA256[(technique, candidate)], out
+
+
+def _manifest_config(tmp_path, synthetic_dirs_25, manifest) -> tuple[Path, Path]:
+    exam_dir, rubric_dir = synthetic_dirs_25
+    manifest_path = tmp_path / "exemplars.json"
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    config_file = tmp_path / "exp.conf"
+    config_file.write_text(
+        f"corpus.path = {exam_dir}\nrubric.path = {rubric_dir}\noutput.dir = {tmp_path / 'out'}\n"
+        f"technique = few_best_worst\ncorpus.exemplars = {manifest_path}\n",
+        encoding="utf-8",
+    )
+    return config_file, manifest_path
+
+
+@pytest.mark.parametrize(
+    "manifest,named",
+    [
+        ([["2023/pack-a", {"1": "exam-001"}]], "must be a JSON object"),
+        ({"pack-a": {"1": "exam-001"}}, "'pack-a'"),
+        ({"x/pack-a": {"1": "exam-001"}}, "'x/pack-a'"),
+        ({"2023/": {"1": "exam-001"}}, "'2023/'"),
+        ({"2023/pack-a": [1, 2]}, "'2023/pack-a'"),
+        ({"2023/pack-a": {"9": "x"}}, "'9'"),
+        ({"2023/pack-a": {"best": "x"}}, "'best'"),
+        ({"2023/pack-a": {"1": 7}}, "'2023/pack-a'"),
+    ],
+)
+def test_cli_context_rejects_malformed_exemplar_manifest(manifest, named, synthetic_dirs_25, tmp_path, capsys):
+    config_file, manifest_path = _manifest_config(tmp_path, synthetic_dirs_25, manifest)
+    assert main(["context", "--config", str(config_file), "--candidate", "exam-001"]) == 2
+    err = capsys.readouterr().err
+    assert str(manifest_path) in err and named in err, err
+
+
+def test_cli_run_rejects_malformed_exemplar_manifest(synthetic_dirs_25, tmp_path, capsys):
+    config_file, manifest_path = _manifest_config(tmp_path, synthetic_dirs_25, {"2023/pack-a": [1, 2]})
+    assert main(["run", "--config", str(config_file)]) == 2
+    assert str(manifest_path) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[1, 2]",
+        '"exam-001"',
+        "{not json",
+        '{"valid": true, "assessment": {"task1": null}}',
+        '{"id": "exam-002", "valid": true, "assessment": {"task1": null}}',
+        '{"id": "exam-002", "valid": true, "assessment": [1, 2]}',
+        '{"id": "exam-002", "valid": true, "assessment": {"task1": {"content": 1}, "task2": {}}}',
+    ],
+)
+def test_cli_metrics_rejects_malformed_prediction_line(line, synthetic_dirs_25, corpus_25, tmp_path, capsys):
+    exam_dir, _ = synthetic_dirs_25
+    gold = corpus_25.get("exam-001").gold
+    assessment = {"task1": gold.task1.as_dict(), "task2": gold.task2.as_dict()}
+    good = {"id": "exam-001", "valid": True, "assessment": assessment}
+    pred = tmp_path / "predictions.jsonl"
+    pred.write_text(json.dumps(good) + "\n" + line + "\n", encoding="utf-8")
+    assert main(["metrics", "--pred", str(pred), "--gold", str(exam_dir)]) == 2
+    err = capsys.readouterr().err
+    assert f"{pred}:2: " in err, err

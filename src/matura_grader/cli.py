@@ -21,6 +21,7 @@ from .runner import (
     rescore_predictions,
     run_experiment,
     technique_plan,
+    warn_unused_manifest_entries,
 )
 from .retrieval import TaskTextIndex
 from .synthetic import make_synthetic
@@ -70,6 +71,7 @@ def _cmd_context(args) -> int:
     if not corpus.records:
         print(f"no usable exams in {cfg.corpus_path}", file=sys.stderr)
         return EXIT_VALIDATION
+    warn_unused_manifest_entries(manifest, corpus)
     candidate = corpus.get(args.candidate)
     rubrics = load_rubrics(cfg.rubric_path)
     plan = technique_plan(cfg)

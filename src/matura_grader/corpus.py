@@ -52,7 +52,10 @@ TEXT_TYPES = (
     "Summary",
 )
 
-_HYPHEN_BREAK = re.compile(r"(?<=\w)-\n(?=\w)")
+# A "-\n" between word characters. The literal comes first and the
+# lookbehind checks the character before the "-", so ``re`` searches for
+# "-\n" instead of trying a lookbehind at every offset of the text.
+_HYPHEN_BREAK = re.compile(r"-\n(?<=\w-\n)(?=\w)")
 _PARAGRAPH_SPLIT = re.compile(r"\n\s*\n")
 # Unicode category Cc is fixed at exactly U+0000-U+001F and U+007F-U+009F;
 # the newline is kept.

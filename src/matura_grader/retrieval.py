@@ -30,6 +30,7 @@ hash-based fallback so the whole pipeline runs offline.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 import random
 import re
@@ -242,7 +243,8 @@ _EMPTY_POOL = _Pool((), (), (), ())
 
 class TaskTextIndex:
     """Immutable similarity index over task texts, one pool per
-    (year, pack, task position). Queries are exact full scans.
+    (year, pack, task position). Queries are exact full scans; a query with
+    a limit ranks only the top of the scan (``heapq.nsmallest``).
 
     Each vector's norm is computed once at build with the products and sum
     ``cosine_similarity`` uses. A query takes one of two paths, and both
@@ -282,10 +284,11 @@ class TaskTextIndex:
         return len(self._pools.get((year, pack, position), _EMPTY_POOL).ids)
 
     def query(
-        self, year: int, pack: str, position: int, candidate: ExamRecord
+        self, year: int, pack: str, position: int, candidate: ExamRecord, limit: int | None = None
     ) -> list[tuple[ExamRecord, float]]:
-        """All pool texts ranked by similarity to the candidate's task text,
-        candidate excluded; ties broken by id."""
+        """Pool texts ranked by similarity to the candidate's task text,
+        candidate excluded; ties broken by id. With ``limit``, only the
+        first ``limit`` of that ranking, the same rows in the same order."""
         pool = self._pools.get((year, pack, position), _EMPTY_POOL)
         try:
             member = pool.ids.index(candidate.id)
@@ -299,9 +302,9 @@ class TaskTextIndex:
             query_counts = pool.member_counts(member)
         if query_counts is not None:
             similarities = map(truediv, pool.dots(query_counts), map(mul, repeat(query_norm), pool.norms))
-            ranked = sorted(zip(map(neg, similarities), pool.ids, pool.records))
+            rows = zip(map(neg, similarities), pool.ids, pool.records)
         else:
-            ranked = []
+            rows = []
             for record, values, norm in zip(pool.records, pool.vectors, pool.norms):
                 if record.id == candidate.id:
                     continue
@@ -309,11 +312,12 @@ class TaskTextIndex:
                     raise ValueError(f"vector length mismatch: {len(query_values)} vs {len(values)}")
                 if query_norm == 0.0 or norm == 0.0:
                     raise ValueError("cosine similarity undefined for zero-norm vector")
-                ranked.append((-(sum(map(mul, query_values, values)) / (query_norm * norm)), record.id, record))
-            ranked.sort()
+                rows.append((-(sum(map(mul, query_values, values)) / (query_norm * norm)), record.id, record))
         # Rows are (-similarity, id, record); ids are unique in a pool, so
-        # the sort never compares records.
-        return [(record, -negated) for negated, record_id, record in ranked if record_id != candidate.id]
+        # ranking never compares records, and ``nsmallest(n, rows)`` equals
+        # ``sorted(rows)[:n]``. One extra row covers the candidate itself.
+        ranked = sorted(rows) if limit is None else heapq.nsmallest(limit + 1, rows)
+        return [(record, -negated) for negated, record_id, record in ranked if record_id != candidate.id][:limit]
 
 
 @dataclass(frozen=True)
@@ -454,10 +458,10 @@ def select_most_similar(
     entries: list[ContextEntry] = []
     warnings: list[str] = []
     for position in positions:
-        ranked = index.query(candidate.year, candidate.pack, position, candidate)
+        ranked = index.query(candidate.year, candidate.pack, position, candidate, limit=k)
         if len(ranked) < k:
             warnings.append(f"task {position}: pool has only {len(ranked)} texts, requested {k}")
-        entries.extend(_entry_for(record, position, similarity) for record, similarity in ranked[:k])
+        entries.extend(_entry_for(record, position, similarity) for record, similarity in ranked)
     return ContextSelection(entries=tuple(entries), warnings=tuple(warnings))
 
 

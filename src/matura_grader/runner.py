@@ -120,6 +120,24 @@ def load_exemplar_manifest(path: str) -> dict[tuple[int, str], dict[int, str]]:
     return manifest
 
 
+def warn_unused_manifest_entries(manifest: dict[tuple[int, str], dict[int, str]], corpus: Corpus) -> None:
+    """Log a warning for each manifest key whose pack the corpus lacks and
+    for each id that is not in its pack: selection never reads the first
+    and falls back to the automatic pick for the second. An id in its pack
+    falls back only when that exam is the candidate itself (leave-one-out),
+    which is not warned about."""
+    for (year, pack), levels in manifest.items():
+        if not corpus.pool(year, pack):
+            logger.warning("exemplar manifest: the corpus has no pack %d/%s; its entry is unused", year, pack)
+            continue
+        for exam_id in dict.fromkeys(levels.values()):
+            record = corpus.by_id.get(exam_id)
+            if record is None or (record.year, record.pack) != (year, pack):
+                logger.warning(
+                    "exemplar manifest %d/%s: %r is not in that pack; the automatic pick is used", year, pack, exam_id
+                )
+
+
 def calibration_items(
     corpus: Corpus,
     candidate: ExamRecord,
@@ -193,6 +211,7 @@ def run_experiment(
         raise RuntimeError(f"no usable exams in {cfg.corpus_path}")
     for error in corpus.errors:
         logger.warning("corpus: skipped %s (%s)", error.file, error.reason)
+    warn_unused_manifest_entries(manifest, corpus)
     rubrics = load_rubrics(cfg.rubric_path)
 
     plan = technique_plan(cfg)
@@ -278,6 +297,7 @@ def rescore_predictions(
 ) -> EvaluationReport:
     """Rebuild an EvaluationReport from a stored predictions.jsonl file."""
     outcomes: list[GradeOutcome] = []
+    first_lines: dict[str, int] = {}
     lines = Path(predictions_path).read_text(encoding="utf-8").splitlines()
     for number, line in enumerate(lines, start=1):
         if not line.strip():
@@ -289,6 +309,9 @@ def rescore_predictions(
             raise ValueError(f"{where}: not valid JSON ({exc})") from None
         if not isinstance(data, dict) or not isinstance(data.get("id"), str):
             raise ValueError(f"{where}: a prediction must be a JSON object with a string id")
+        first = first_lines.setdefault(data["id"], number)
+        if first != number:
+            raise ValueError(f"{where}: duplicate prediction for {data['id']!r} (first on line {first})")
         assessment = None
         derived = None
         if data.get("assessment"):

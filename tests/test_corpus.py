@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
+import pkgutil
 import random
 import re
 import shutil
@@ -12,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matura_grader
+from matura_grader import corpus as corpus_module
 from matura_grader.corpus import (
     TEXT_TYPES,
     Corpus,
@@ -94,6 +98,48 @@ _PIECES = st.sampled_from(
 @given(st.one_of(st.lists(_PIECES, max_size=40).map("".join), st.text()))
 def test_normalize_matches_per_character_category_filter(raw):
     assert normalize_text(raw) == _normalize_by_category(raw)
+
+
+# The hyphen-break pattern as it was before it was rewritten to start with
+# its "-\n" literal, kept as the reference for the rewrite;
+# _normalize_by_category applies the same pattern.
+_LOOKBEHIND_FIRST_HYPHEN_BREAK = re.compile(r"(?<=\w)-\n(?=\w)")
+
+
+_HYPHEN_ALPHABET = st.sampled_from(list("aZäÖüß_7-\n\r \t") + ["-\n", "\r\n", "Wort-\n"] + _CC)
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.lists(_HYPHEN_ALPHABET, max_size=60).map("".join))
+def test_hyphen_break_matches_the_lookbehind_first_pattern(raw):
+    assert corpus_module._HYPHEN_BREAK.sub("", raw) == _LOOKBEHIND_FIRST_HYPHEN_BREAK.sub("", raw)
+    assert normalize_text(raw) == _normalize_by_category(raw)
+
+
+def _starts_with_lookbehind(pattern: re.Pattern) -> bool:
+    """A pattern that opens with a lookbehind: ``re`` then tries that
+    lookbehind at every offset instead of searching for a literal."""
+    return pattern.pattern.startswith(("(?<=", "(?<!"))
+
+
+def test_lookbehind_first_patterns_are_detected():
+    assert _starts_with_lookbehind(_LOOKBEHIND_FIRST_HYPHEN_BREAK)
+    assert _starts_with_lookbehind(re.compile(r"(?<!\d)x"))
+    assert not _starts_with_lookbehind(corpus_module._HYPHEN_BREAK)
+
+
+def test_no_module_pattern_starts_with_a_lookbehind():
+    names = [info.name for info in pkgutil.iter_modules(matura_grader.__path__)]
+    modules = [importlib.import_module(f"matura_grader.{name}") for name in names]
+    assert len(modules) > 10
+    patterns = {
+        f"{module.__name__}.{name}": value
+        for module in modules
+        for name, value in vars(module).items()
+        if isinstance(value, re.Pattern)
+    }
+    assert "matura_grader.corpus._HYPHEN_BREAK" in patterns
+    assert {name: p.pattern for name, p in patterns.items() if _starts_with_lookbehind(p)} == {}
 
 
 def test_pool_groups_by_pack_in_id_order(corpus_30):

@@ -773,3 +773,56 @@ def test_concurrent_queries_equal_the_serial_sweep(corpus_60_with_ties):
     finally:
         sys.setswitchinterval(switch_interval)
     assert concurrent == serial
+
+
+# A query with a limit against the full ranking it cuts short.
+
+
+def _assert_limits_keep_the_head(index, candidate, position):
+    year, pack = candidate.year, candidate.pack
+    full = index.query(year, pack, position, candidate)
+    for k in range(1, index.pool_size(year, pack, position) + 2):
+        assert index.query(year, pack, position, candidate, limit=k) == full[:k]
+
+
+def test_query_limit_keeps_the_head_of_the_full_ranking(corpus_60_with_ties):
+    corpus = corpus_60_with_ties
+    index = TaskTextIndex.build(corpus, FallbackEmbedder())
+    outsider = _outsider(corpus.get("exam-010"), make_body("limit-a", 150), make_body("limit-b", 150))
+    for candidate in corpus.records + (outsider,):
+        for position in (1, 2):
+            _assert_limits_keep_the_head(index, candidate, position)
+
+
+def test_query_limit_on_a_float_path_pool():
+    vectors = _random_counts("limit-float", 12, 4)
+    vectors[5] = vectors[9]  # an exact tie
+    corpus, table = _table_corpus(vectors + [(1.0, 0.5, 2.0, 0.0)])
+    table["query"] = (0.25, 1.0, 3.0, 1.0)
+    index = TaskTextIndex.build(corpus, _TableEmbedder(table))
+    assert index._pools[(2023, "pack-a", 1)].columns == ()
+    for candidate in corpus.records + (_outsider(corpus.records[0], "query", "query"),):
+        _assert_limits_keep_the_head(index, candidate, 1)
+
+
+def test_query_limit_raises_the_full_scan_errors():
+    corpus, table = _table_corpus(_random_counts("limit-errors", 6, 4) + [(1.0, 2.0, 3.0)])
+    index = TaskTextIndex.build(corpus, _TableEmbedder(table))
+    with pytest.raises(ValueError) as want:
+        index.query(2023, "pack-a", 1, corpus.records[0])
+    with pytest.raises(ValueError, match="length mismatch") as got:
+        index.query(2023, "pack-a", 1, corpus.records[0], limit=1)
+    assert str(got.value) == str(want.value)
+
+
+def test_most_similar_warns_only_past_the_pool():
+    corpus = make_corpus([make_record(f"w-{i}", (i,) * 4, (i,) * 4) for i in range(1, 5)])
+    index = TaskTextIndex.build(corpus, FallbackEmbedder())
+    candidate = corpus.get("w-2")
+    assert select_most_similar(index, candidate, k=3).warnings == ()
+    selection = select_most_similar(index, candidate, k=4)
+    assert len(selection.entries) == 6
+    assert selection.warnings == (
+        "task 1: pool has only 3 texts, requested 4",
+        "task 2: pool has only 3 texts, requested 4",
+    )

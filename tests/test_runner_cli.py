@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -396,3 +397,60 @@ def test_cli_metrics_rejects_malformed_prediction_line(line, synthetic_dirs_25, 
     assert main(["metrics", "--pred", str(pred), "--gold", str(exam_dir)]) == 2
     err = capsys.readouterr().err
     assert f"{pred}:2: " in err, err
+
+
+def test_cli_metrics_rejects_duplicate_prediction_id(synthetic_dirs_25, corpus_25, tmp_path, capsys):
+    exam_dir, _ = synthetic_dirs_25
+    gold = corpus_25.get("exam-001").gold
+    assessment = {"task1": gold.task1.as_dict(), "task2": gold.task2.as_dict()}
+    line = json.dumps({"id": "exam-001", "valid": True, "assessment": assessment})
+    other = json.dumps({"id": "exam-002", "valid": False, "assessment": None})
+    pred = tmp_path / "predictions.jsonl"
+    pred.write_text("\n".join([line, other, line, line]) + "\n", encoding="utf-8")
+    assert main(["metrics", "--pred", str(pred), "--gold", str(exam_dir)]) == 2
+    err = capsys.readouterr().err
+    assert f"{pred}:3: duplicate prediction for 'exam-001' (first on line 1)" in err, err
+
+
+# Every entry falls back to the automatic pick: a pack the corpus lacks, an
+# unknown id, an id of another pack, and exam-001 itself, which is in its pack
+# and is only skipped (without a warning) when it is the candidate.
+_UNUSED_MANIFEST = {
+    "2023/pack-a": {"1": "no-such-exam", "3": "exam-002", "5": "exam-001"},
+    "1999/none": {"1": "exam-001"},
+}
+_UNUSED_MANIFEST_WARNINGS = [
+    "exemplar manifest 2023/pack-a: 'no-such-exam' is not in that pack; the automatic pick is used",
+    "exemplar manifest 2023/pack-a: 'exam-002' is not in that pack; the automatic pick is used",
+    "exemplar manifest: the corpus has no pack 1999/none; its entry is unused",
+]
+
+
+def _manifest_warnings(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.name == "matura_grader.runner" and r.levelname == "WARNING"]
+
+
+def test_cli_context_warns_about_unused_manifest_entries(synthetic_dirs_25, tmp_path, capsys, caplog):
+    config_file, _ = _manifest_config(tmp_path, synthetic_dirs_25, _UNUSED_MANIFEST)
+    caplog.set_level(logging.WARNING, logger="matura_grader.runner")
+    assert main(["context", "--config", str(config_file), "--candidate", "exam-001"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CONTEXT_SHA256[("few_best_worst", "exam-001")], out
+    assert _manifest_warnings(caplog) == _UNUSED_MANIFEST_WARNINGS
+
+
+def test_cli_run_warns_about_unused_manifest_entries(synthetic_dirs_25, tmp_path, caplog):
+    exam_dir, rubric_dir = synthetic_dirs_25
+    plain = tmp_path / "plain.conf"
+    plain.write_text(
+        f"corpus.path = {exam_dir}\nrubric.path = {rubric_dir}\noutput.dir = {tmp_path / 'plain'}\n"
+        "technique = few_best_worst\n",
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(plain)]) == 0
+    config_file, _ = _manifest_config(tmp_path, synthetic_dirs_25, _UNUSED_MANIFEST)
+    caplog.set_level(logging.WARNING, logger="matura_grader.runner")
+    assert main(["run", "--config", str(config_file)]) == 0
+    assert _manifest_warnings(caplog) == _UNUSED_MANIFEST_WARNINGS
+    for name in ("metrics.csv", "predictions.jsonl", "transcripts/exam-001.json"):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name

@@ -9,12 +9,13 @@ sheet without the grades ever entering a prompt.
 
 from __future__ import annotations
 
+import http.client
 import json
 import re
 import threading
+import urllib.error
+import urllib.request
 from collections import deque
-
-import requests
 
 from .corpus import Corpus
 from .grading import DIMENSIONS, TASKS, VALID_GRADES
@@ -24,19 +25,43 @@ class ChatTransportError(RuntimeError):
     pass
 
 
+# What a failed request can raise short of an HTTP status: URLError, a
+# timeout and a reset connection are OSErrors, a reply cut off mid-way is an
+# HTTPException, and a URL without a scheme or with a non-HTTP one is a
+# ValueError.
+_TRANSPORT_ERRORS = (OSError, http.client.HTTPException, ValueError)
+
+
+def _open(url: str, data: bytes | None, timeout: float):
+    """Send one request to an http(s) ``url`` and return the open response.
+
+    urllib asks for ``Connection: close``, so each request gets a connection
+    of its own; non-2xx statuses raise ``urllib.error.HTTPError``."""
+    headers = {} if data is None else {"Content-Type": "application/json"}
+    request = urllib.request.Request(url, data, headers)
+    if request.type not in ("http", "https"):
+        raise ValueError(f"unsupported URL scheme {request.type!r}")
+    return urllib.request.urlopen(request, timeout=timeout)
+
+
 def post_json(endpoint: str, payload: dict, timeout: float, error: type[Exception], what: str):
     """POST ``payload`` to ``endpoint`` and return the decoded JSON reply.
 
     An unreachable endpoint, a non-200 status and a body that is not JSON
     raise ``error``; checking the reply's schema is left to the caller."""
     try:
-        response = requests.post(endpoint, json=payload, timeout=timeout)
-    except requests.RequestException as exc:
+        data = json.dumps(payload, allow_nan=False).encode("utf-8")
+        with _open(endpoint, data, timeout) as response:
+            status, raw = response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        status = exc.code
+    except _TRANSPORT_ERRORS as exc:
         raise error(f"{what} endpoint unreachable: {endpoint} ({exc})") from exc
-    if response.status_code != 200:
-        raise error(f"{what} endpoint error: {endpoint} returned {response.status_code}")
+    if status != 200:
+        raise error(f"{what} endpoint error: {endpoint} returned {status}")
     try:
-        return response.json()
+        return json.loads(raw)
     except ValueError as exc:
         raise error(f"{what} endpoint returned a malformed body: {endpoint} ({exc!r})") from exc
 
@@ -69,8 +94,11 @@ class HttpChatClient(ChatClient):
     def preflight(self) -> None:
         """Fail fast when the server is not reachable at all."""
         try:
-            requests.get(self.base_url, timeout=min(self.timeout, 10.0))
-        except requests.RequestException as exc:
+            with _open(self.base_url, None, min(self.timeout, 10.0)):
+                pass
+        except urllib.error.HTTPError as exc:
+            exc.close()  # any status means the server is there
+        except _TRANSPORT_ERRORS as exc:
             raise ChatTransportError(f"chat endpoint unreachable: {self.base_url} ({exc})") from exc
 
     def chat(self, messages: list[dict[str, str]], exam_id: str | None = None) -> str:

@@ -172,3 +172,134 @@ def test_remote_embedder_malformed_body(stub_server, body):
     embedder = RemoteEmbedder(stub_server, model="e")
     with pytest.raises(EmbeddingError, match="malformed body"):
         embedder.embed("text")
+
+
+class _FaultServer(HTTPServer):
+    """Answers every POST the same way: ``fault`` names how."""
+
+    def __init__(self, fault: str, status: int):
+        super().__init__(("127.0.0.1", 0), _FaultHandler)
+        self.fault = fault
+        self.status = status
+        self.seen: list[tuple[str, str | None, bytes]] = []  # path, Content-Type, raw body
+        self.release = threading.Event()
+
+
+class _FaultHandler(BaseHTTPRequestHandler):
+    def log_message(self, *args):
+        pass
+
+    def do_GET(self):
+        self.send_response(self.server.status)
+        self.end_headers()
+
+    def do_POST(self):
+        raw = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append((self.path, self.headers.get("Content-Type"), raw))
+        fault = self.server.fault
+        if fault == "slow":
+            self.server.release.wait(10)  # the client gives up first; send nothing
+        elif fault == "close":
+            pass  # close before the status line
+        elif fault == "short":
+            self.send_response(200)
+            self.send_header("Content-Length", "64")
+            self.end_headers()
+            self.wfile.write(b'{"message": {')
+        elif fault == "status":
+            self.send_response(self.server.status)
+            self.end_headers()
+        else:  # one reply that both clients accept
+            data = b'{"message": {"role": "assistant", "content": "gut"}, "embeddings": [[1.0]]}'
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+
+@pytest.fixture()
+def fault_server():
+    started = []
+
+    def start(fault: str, status: int = 200):
+        server = _FaultServer(fault, status)
+        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+        thread.start()
+        started.append((server, thread))
+        return server, f"http://127.0.0.1:{server.server_port}"
+
+    yield start
+    for server, thread in started:
+        server.release.set()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def _chat(base_url: str, timeout: float = 5.0) -> None:
+    HttpChatClient(base_url, model="m", timeout=timeout).chat([{"role": "user", "content": "hi"}])
+
+
+def _embed(base_url: str, timeout: float = 5.0) -> None:
+    RemoteEmbedder(base_url, model="e", timeout=timeout).embed("text")
+
+
+CALLERS = [pytest.param(_chat, ChatTransportError, id="chat"), pytest.param(_embed, EmbeddingError, id="embed")]
+
+
+@pytest.mark.parametrize("call, error", CALLERS)
+@pytest.mark.parametrize("fault", ["slow", "close", "short"])
+def test_transport_fault_raises_the_callers_error(fault_server, call, error, fault):
+    _, url = fault_server(fault)
+    with pytest.raises(error, match=f"endpoint unreachable: {url}/api/"):
+        call(url, timeout=0.2)
+
+
+@pytest.mark.parametrize("call, error", CALLERS)
+@pytest.mark.parametrize("status", [307, 404])
+def test_transport_status_raises_the_callers_error(fault_server, call, error, status):
+    _, url = fault_server("status", status)
+    with pytest.raises(error, match=f"returned {status}$"):
+        call(url)
+
+
+@pytest.mark.parametrize("call, error", CALLERS)
+@pytest.mark.parametrize("base_url", ["chat-host", "localhost:11434", "ftp://127.0.0.1:9"])
+def test_non_http_url_raises_the_callers_error(call, error, base_url):
+    with pytest.raises(error, match="endpoint unreachable"):
+        call(base_url)
+
+
+def test_file_url_is_refused_unread(tmp_path):
+    (tmp_path / "api").mkdir()
+    (tmp_path / "api" / "chat").write_text('{"message": {"role": "assistant", "content": "gelesen"}}')
+    (tmp_path / "api" / "embed").write_text('{"embeddings": [[1.0]]}')
+    for call, error in ((_chat, ChatTransportError), (_embed, EmbeddingError)):
+        with pytest.raises(error, match="endpoint unreachable"):
+            call(tmp_path.as_uri())
+    with pytest.raises(ChatTransportError, match="endpoint unreachable"):
+        HttpChatClient((tmp_path / "api" / "chat").as_uri(), model="m").preflight()
+
+
+def test_request_body_on_the_wire(fault_server):
+    server, url = fault_server("answer")
+    messages = [
+        {"role": "system", "content": "Du bist Prüferin."},
+        {"role": "user", "content": "Bewerte: Die Größe der Übung ärgert Jörg über die Maßen."},
+    ]
+    assert HttpChatClient(url, model="modell", temperature=0.25, seed=11).chat(messages) == "gut"
+    assert RemoteEmbedder(url, model="einbettung").embed("Straße über Öl").values == (1.0,)
+
+    chat_payload = {"model": "modell", "messages": messages, "stream": False, "options": {"temperature": 0.25, "seed": 11}}
+    embed_payload = {"model": "einbettung", "input": "Straße über Öl"}
+    assert server.seen == [
+        ("/api/chat", "application/json", json.dumps(chat_payload, allow_nan=False).encode("utf-8")),
+        ("/api/embed", "application/json", json.dumps(embed_payload, allow_nan=False).encode("utf-8")),
+    ]
+
+
+@pytest.mark.parametrize("status", [404, 500])
+def test_preflight_accepts_any_status(fault_server, status):
+    _, url = fault_server("status", status)
+    HttpChatClient(url, model="m").preflight()

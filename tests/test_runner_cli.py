@@ -292,6 +292,24 @@ def test_importing_runner_loads_no_numpy():
     assert result.stdout.strip() == "[]"
 
 
+def test_importing_runner_loads_no_requests():
+    # The clients post through urllib; requests and its dependencies add
+    # about 7 MiB of resident memory and 100 ms of import time to every run.
+    # Only what the import adds counts: a site hook may load certifi first.
+    import matura_grader
+
+    src = str(Path(matura_grader.__file__).resolve().parents[1])
+    banned = ("requests", "urllib3", "charset_normalizer", "idna", "certifi")
+    probe = (
+        "import sys; before = set(sys.modules); import matura_grader.runner; "
+        f"print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] in {banned!r}))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 # sha256 of the `context` output per (technique, candidate) on
 # make_synthetic(n=25, seed=5) with default options, recorded before the
 # grade-keyed pickers went through one routine.

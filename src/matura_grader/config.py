@@ -8,6 +8,7 @@ hashed into each report so results stay traceable to exact settings.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -69,18 +70,31 @@ def _as_int(value: str, key: str) -> int:
 
 def _as_float(value: str, key: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return number
 
 
 # field annotation (a string under postponed evaluation) -> parser
 _PARSERS = {"bool": _as_bool, "int": _as_int, "float": _as_float}
 
 
-def _key(key: str, default: str, help_text: str, choices: tuple[str, ...] = (), minimum: int | None = None):
-    """One config key: the field it fills, its default text, help and check."""
-    return field(metadata={"key": key, "default": default, "help": help_text, "choices": choices, "minimum": minimum})
+def _key(
+    key: str,
+    default: str,
+    help_text: str,
+    choices: tuple[str, ...] = (),
+    minimum: int | None = None,
+    above: float | None = None,
+):
+    """One config key: the field it fills, its default text, help and check
+    (a tuple of choices, an inclusive minimum or an exclusive lower bound)."""
+    return field(
+        metadata={"key": key, "default": default, "help": help_text, "choices": choices, "minimum": minimum, "above": above}
+    )
 
 
 @dataclass(frozen=True)
@@ -109,7 +123,7 @@ class ExperimentConfig:
     temperature: float = _key("client.temperature", "0.0", "sampling temperature")
     seed: int = _key("client.seed", "0", "sampling seed, where the endpoint supports it")
     retries: int = _key("client.retries", "0", "reformat retries after an unparseable answer", minimum=0)
-    timeout: float = _key("client.timeout", "120.0", "HTTP timeout in seconds")
+    timeout: float = _key("client.timeout", "120.0", "HTTP timeout in seconds", above=0)
     embedding_base_url: str = _key("embedding.base_url", "http://localhost:11434", "embedding endpoint base URL")
     embedding_model: str = _key("embedding.model", "", "embedding model name (remote mode)")
     embedding_fallback: bool = _key("embedding.fallback", "true", "use the deterministic offline embedder")
@@ -171,6 +185,8 @@ def config_from_values(values: dict[str, str]) -> ExperimentConfig:
             raise ConfigError(f"{key} must be one of {', '.join(meta['choices'])}, got {value!r}")
         if meta["minimum"] is not None and value < meta["minimum"]:
             raise ConfigError(f"{key} must be >= {meta['minimum']}")
+        if meta["above"] is not None and value <= meta["above"]:
+            raise ConfigError(f"{key} must be > {meta['above']}, got {value!r}")
         parsed[spec.name] = value
     try:
         parse_policy(parsed["client_policy"])

@@ -36,6 +36,7 @@ import random
 import re
 import struct
 import zlib
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, repeat
@@ -43,7 +44,7 @@ from operator import mul, neg, sub, truediv
 from pathlib import Path
 
 from .clients import post_json
-from .corpus import Corpus, ExamRecord, normalize_text
+from .corpus import Corpus, ExamRecord, normalize_characters, normalize_text
 from .grading import VALID_GRADES
 
 FALLBACK_DIM = 128
@@ -85,9 +86,29 @@ class FallbackEmbedder:
     """Deterministic offline embedder: hashed bag-of-token counts.
 
     Same text always maps to the same vector; token overlap shows up as
-    cosine similarity, which is all the selection strategies need. Each
-    distinct token is hashed once per instance and its bucket remembered;
-    the memo only ever gains the same value for a key, so concurrent
+    cosine similarity, which is all the selection strategies need. A token
+    is a ``\\w+`` run of the lowercased, normalized text, and it adds one to
+    the bucket its sha256 picks.
+
+    ``embed`` applies only the character stage of ``normalize_text``, then
+    counts the whitespace-separated words of the lowercased text with
+    ``Counter``. Each distinct word is split into tokens and hashed once per
+    instance; the word's buckets are remembered, and each word adds its
+    count to its buckets. That equals counting the tokens of the fully
+    normalized text:
+
+    - no code point is both whitespace and ``\\w``, so no token spans a
+      whitespace split, and a text's tokens are those of its words;
+    - the whitespace stage only shortens or rewrites runs of whitespace and
+      leaves at least one whitespace character between two words, so the
+      words stay the same;
+    - the only context rule of ``str.lower``, the final sigma, looks no
+      further than the nearest whitespace, so lowering a word alone gives
+      what lowering the whole text gives;
+    - every count is a whole number below 2**53, so the float sums are exact
+      in any order.
+
+    The memo only ever gains the same value for a key, so concurrent
     ``embed`` calls may share an instance.
     """
 
@@ -97,20 +118,22 @@ class FallbackEmbedder:
         if dim < 1:
             raise ValueError("embedding dimension must be >= 1")
         self.dim = dim
-        self._buckets: dict[str, int] = {}
+        self._word_buckets: dict[str, tuple[int, ...]] = {}
 
     def embed(self, text: str) -> EmbeddingVector:
-        tokens = _TOKEN.findall(normalize_text(text).lower())
-        if not tokens:
-            raise EmbeddingError("cannot embed empty text")
         counts = [0.0] * self.dim
-        buckets = self._buckets
-        for token in tokens:
-            bucket = buckets.get(token)
-            if bucket is None:
-                digest = hashlib.sha256(token.encode("utf-8")).digest()
-                bucket = buckets[token] = int.from_bytes(digest[:4], "big") % self.dim
-            counts[bucket] += 1.0
+        memo = self._word_buckets
+        for word, count in Counter(normalize_characters(text).lower().split()).items():
+            buckets = memo.get(word)
+            if buckets is None:
+                buckets = memo[word] = tuple(
+                    int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:4], "big") % self.dim
+                    for token in _TOKEN.findall(word)
+                )
+            for bucket in buckets:
+                counts[bucket] += count
+        if not any(counts):
+            raise EmbeddingError("cannot embed empty text")
         return EmbeddingVector(tuple(counts), self.source)
 
 

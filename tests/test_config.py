@@ -162,3 +162,27 @@ def test_config_from_values_rejects_unknown_keys():
     assert "'tecnique'" in message
     assert "'runner.paralelism'" in message
     assert "technique.k" not in message
+
+
+@pytest.mark.parametrize("key", ["client.temperature", "client.timeout"])
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity", "1e400"])
+def test_non_finite_numbers_are_rejected_with_the_key(key, value):
+    message = f"{key} must be a finite number, got '{value}'"
+    with pytest.raises(ConfigError, match=message):
+        config_from_values({key: value})
+    with pytest.raises(ConfigError, match=message):
+        config_from_values(parse_config_text(f"{key} = {value}\n"))
+
+
+@pytest.mark.parametrize("value", ["0", "0.0", "-0.0", "-1", "-120.5"])
+def test_timeout_must_be_positive(value):
+    with pytest.raises(ConfigError, match="client.timeout must be > 0"):
+        config_from_values({"client.timeout": value})
+    with pytest.raises(ConfigError, match="client.timeout must be > 0"):
+        config_from_values(parse_config_text(f"client.timeout = {value}\n"))
+
+
+def test_finite_numbers_keep_their_value_and_hash():
+    cfg = config_from_values(parse_config_text("client.temperature = 0.7\nclient.timeout = 0.001\n"))
+    assert (cfg.temperature, cfg.timeout) == (0.7, 0.001)
+    assert config_hash(config_from_values({})) == config_hash(config_from_values({"client.timeout": "120.0"}))

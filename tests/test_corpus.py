@@ -89,8 +89,12 @@ def test_normalize_removes_every_control_character_but_newline():
     assert not any(ch in normalize_text(everything) for ch in _CC if ch != "\n")
 
 
+# "!-\nwort" and " -\nwort" put a non-word character before a "-\n" that a
+# word character follows, which the hyphen-break pattern must keep.
 _PIECES = st.sampled_from(
-    _CC + ["\r\n", "\u0085", "\u00a0", "\u2028", "-\n", "Zusammen-\nfassung", "wort", "ÄÖÜß", " ", "\n\n", "-"]
+    _CC
+    + ["\r\n", "\u0085", "\u00a0", "\u2028", "-\n", "Zusammen-\nfassung", "wort", "ÄÖÜß", " ", "\n\n", "-"]
+    + ["!-\nwort", " -\nwort"]
 )
 
 

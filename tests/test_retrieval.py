@@ -1,19 +1,25 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matura_grader.config import TECHNIQUES
-from matura_grader.corpus import load_corpus
+from matura_grader.corpus import load_corpus, normalize_text
 from matura_grader.grading import DIMENSIONS
 from matura_grader.retrieval import (
     ALL_GRADES,
     BEST_AVERAGE_WORST,
+    FALLBACK_DIM,
     MIXED_PER_TASK,
     MOST_SIMILAR,
     ContextSelection,
@@ -319,6 +325,90 @@ def test_fallback_embedder_memo_keeps_vectors(corpus_60_with_ties):
     for body in bodies:
         warm.embed(body)
     assert [warm.embed(body) for body in bodies] == [FallbackEmbedder().embed(body) for body in bodies]
+
+
+def _token_by_token_embed(text, dim):
+    """FallbackEmbedder.embed as it was before the word-count path, kept as
+    the reference: tokens of the fully normalized, lowercased text, one
+    sha256 and one addition of 1.0 per token."""
+    tokens = re.findall(r"\w+", normalize_text(text).lower())
+    if not tokens:
+        raise EmbeddingError("cannot embed empty text")
+    counts = [0.0] * dim
+    for token in tokens:
+        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        counts[int.from_bytes(digest[:4], "big") % dim] += 1.0
+    return EmbeddingVector(tuple(counts), FallbackEmbedder.source)
+
+
+def _embed_or_error(embed, text):
+    try:
+        return embed(text)
+    except EmbeddingError:
+        return EmbeddingError
+
+
+_SPACES = [chr(code) for code in range(sys.maxunicode + 1) if chr(code).isspace()]
+_CONTROLS = [chr(code) for code in (*range(0x00, 0x20), *range(0x7F, 0xA0))]
+_EMBED_ALPHABET = st.sampled_from(
+    _SPACES
+    + _CONTROLS
+    + ["-\n", "\r\n", "-", "\u03a3", "\u03c3", "\u03c2", "\u0130", "\u0307", "\ufb01", "_", "a", "Z"]
+    + list("0123456789")
+    + list("äöüÄÖÜß")
+)
+# A small dimension, so distinct tokens share buckets; it lives for the whole
+# property, so later examples meet a warm memo.
+_WARM_SMALL = FallbackEmbedder(dim=7)
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.lists(_EMBED_ALPHABET, max_size=40).map("".join))
+def test_word_count_embed_equals_the_token_by_token_embed(text):
+    expected = _embed_or_error(lambda t: _token_by_token_embed(t, 7), text)
+    assert _embed_or_error(FallbackEmbedder(dim=7).embed, text) == expected
+    assert _embed_or_error(_WARM_SMALL.embed, text) == expected
+
+
+@pytest.fixture(scope="module")
+def synthetic_60_bodies(tmp_path_factory):
+    """Every task body of a 60-exam synthetic corpus, as stored in its files
+    and as normalized at load."""
+    exam_dir, _ = make_synthetic(tmp_path_factory.mktemp("bodies60"), n=60, seed=5)
+    raw = [
+        task["body"]
+        for path in sorted(exam_dir.glob("*.json"))
+        for task in json.loads(path.read_text(encoding="utf-8"))["tasks"]
+    ]
+    loaded = [record.task(position).body for record in load_corpus(exam_dir).records for position in (1, 2)]
+    assert len(raw) == len(loaded) == 120
+    return raw + loaded
+
+
+def test_word_count_embed_equals_the_token_by_token_embed_on_synthetic_bodies(synthetic_60_bodies):
+    expected = [_token_by_token_embed(body, FALLBACK_DIM) for body in synthetic_60_bodies]
+    warm = FallbackEmbedder()
+    assert [FallbackEmbedder().embed(body) for body in synthetic_60_bodies] == expected
+    assert [warm.embed(body) for body in synthetic_60_bodies] == expected
+    assert [warm.embed(body) for body in synthetic_60_bodies] == expected
+
+
+def test_no_code_point_is_both_whitespace_and_a_word_character():
+    """The lemmas the word-count path rests on, checked against this
+    interpreter's Unicode database: a whitespace character never matches
+    ``\\w``, lowercases to itself, and bounds the final-sigma context of
+    ``str.lower`` (it is neither cased nor case-ignorable)."""
+    assert len(_SPACES) > 20
+    assert [ch for ch in _SPACES if re.match(r"\w", ch)] == []
+    for ch in _SPACES:
+        assert ch.lower() == ch
+        assert ("A\u03a3" + ch + "B").lower() == "a\u03c2" + ch + "b"
+        assert ("A" + ch + "\u03a3").lower() == "a" + ch + "\u03c3"
+
+
+def test_fallback_embedding_joins_hyphen_breaks_and_drops_control_characters(embedder):
+    assert embedder.embed("Zusammen-\nfassung") == embedder.embed("Zusammenfassung")
+    assert embedder.embed("ab\x00cd") == embedder.embed("abcd")
 
 
 def test_most_similar_small_pool_warns(embedder):

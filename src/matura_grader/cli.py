@@ -11,19 +11,10 @@ import sys
 
 from .clients import ChatTransportError
 from .config import ConfigError, format_defaults, load_config
-from .corpus import load_corpus, load_rubrics, validate_record
+from .corpus import load_corpus, validate_record
 from .prompts import grades_line
 from .reporting import accuracy_table_row, emit_report, qwk_table_row
-from .runner import (
-    build_candidate_script,
-    load_exemplar_manifest,
-    make_embedder,
-    rescore_predictions,
-    run_experiment,
-    technique_plan,
-    warn_unused_manifest_entries,
-)
-from .retrieval import TaskTextIndex
+from .runner import build_candidate_script, load_run_inputs, rescore_predictions, run_experiment
 from .synthetic import make_synthetic
 
 EXIT_OK = 0
@@ -66,16 +57,8 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_context(args) -> int:
     cfg = load_config(args.config)
-    manifest = load_exemplar_manifest(cfg.exemplars_path)
-    corpus = load_corpus(cfg.corpus_path, trust_stored_grades=cfg.trust_stored_grades, half=cfg.round_half)
-    if not corpus.records:
-        print(f"no usable exams in {cfg.corpus_path}", file=sys.stderr)
-        return EXIT_VALIDATION
-    warn_unused_manifest_entries(manifest, corpus)
+    corpus, rubrics, manifest, plan, index = load_run_inputs(cfg)
     candidate = corpus.get(args.candidate)
-    rubrics = load_rubrics(cfg.rubric_path)
-    plan = technique_plan(cfg)
-    index = TaskTextIndex.build(corpus, make_embedder(cfg)) if plan.needs_index else None
     _, selection, calibration = build_candidate_script(cfg, corpus, index, rubrics, candidate, plan, manifest)
 
     print(f"candidate: {candidate.id} ({candidate.year}/{candidate.pack}), technique: {plan.label}")

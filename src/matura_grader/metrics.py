@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .corpus import Corpus
-from .grading import DIMENSIONS, HALF_TO_BETTER, TASKS, VALID_GRADES
+from .grading import DIMENSIONS, TASKS, VALID_GRADES
 
 DIMENSION_KEYS = ("final",) + tuple(f"{task}.{dim}" for task in TASKS for dim in DIMENSIONS)
 
@@ -117,12 +117,7 @@ def _dimension_pairs(outcome, record) -> list[tuple[int, int]]:
     return pairs
 
 
-def build_report(
-    technique: str,
-    outcomes: list,
-    corpus: Corpus,
-    half: str = HALF_TO_BETTER,
-) -> EvaluationReport:
+def build_report(technique: str, outcomes: list, corpus: Corpus) -> EvaluationReport:
     """Per-dimension agreement reports over one experiment's outcomes.
 
     Invalid or errored outcomes are excluded from the metric pairs but kept

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .clients import ChatClient, ChatTransportError
 from .corpus import ExamRecord, RubricSet
@@ -130,28 +130,24 @@ def build_zero_shot(
     context list until it fits; drops are logged and recorded.
     """
     system = build_system_prompt(rubric, (candidate.task(1).text_type, candidate.task(2).text_type))
-    entries = list(ctx.entries)
-    dropped = 0
+    blocks = render_context_blocks(ctx, candidate)
+    candidate_block = render_candidate_block(candidate)
 
     def user_message() -> str:
-        blocks = render_context_blocks(replace(ctx, entries=tuple(entries)), candidate)
         parts = ([context_intro()] + blocks) if blocks else []
-        parts.append(render_candidate_block(candidate))
+        parts.append(candidate_block)
         return "\n\n".join(parts)
 
     content = user_message()
     if token_budget is not None:
-        while entries and _estimated_tokens(system, content) > token_budget:
-            entries.pop()
-            dropped += 1
+        while blocks and _estimated_tokens(system, content) > token_budget:
+            blocks.pop()
             content = user_message()
-        if dropped:
-            logger.warning(
-                "dropped %d context text(s) for %s to fit the %d-token budget",
-                dropped,
-                candidate.id,
-                token_budget,
-            )
+    dropped = len(ctx.entries) - len(blocks)
+    if dropped:
+        logger.warning(
+            "dropped %d context text(s) for %s to fit the %d-token budget", dropped, candidate.id, token_budget
+        )
     return ConversationScript(
         system=system,
         turns=(CandidateUser(content),),

@@ -296,12 +296,13 @@ class TaskTextIndex:
 
     @classmethod
     def build(cls, corpus: Corpus, embedder) -> "TaskTextIndex":
-        pools: dict[tuple[int, str, int], list[tuple[ExamRecord, tuple[float, ...]]]] = {}
-        for record in sorted(corpus.records, key=lambda r: r.id):
+        pools: dict[tuple[int, str, int], _Pool] = {}
+        for year, pack in corpus.packs():
+            records = corpus.pool(year, pack)
             for position in (1, 2):
-                key = (record.year, record.pack, position)
-                pools.setdefault(key, []).append((record, embedder.embed(record.task(position).body).values))
-        return cls(embedder, {key: _Pool.pack(*zip(*entries)) for key, entries in pools.items()})
+                vectors = tuple(embedder.embed(record.task(position).body).values for record in records)
+                pools[(year, pack, position)] = _Pool.pack(records, vectors)
+        return cls(embedder, pools)
 
     def pool_size(self, year: int, pack: str, position: int) -> int:
         return len(self._pools.get((year, pack, position), _EMPTY_POOL).ids)

@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from .clients import ChatClient, HttpChatClient, MockChatClient, parse_policy
 from .config import TECHNIQUES, ConfigError, ExperimentConfig, config_hash, technique_label
@@ -193,18 +194,22 @@ def _outcome_record(outcome: GradeOutcome) -> dict:
     }
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    client: ChatClient | None = None,
-    embedder=None,
-    write_artifacts: bool = True,
-) -> EvaluationReport:
-    """Execute one technique over the whole corpus.
+class RunInputs(NamedTuple):
+    """What a run reads before its first chat call, built once per run."""
 
-    ``client``/``embedder`` can be injected (tests, fixtures); otherwise they
-    are built from the configuration. A failing candidate never aborts the
-    run; it is recorded as errored.
-    """
+    corpus: Corpus
+    rubrics: RubricSet
+    manifest: dict[tuple[int, str], dict[int, str]]
+    plan: TechniquePlan
+    index: TaskTextIndex | None
+
+
+def load_run_inputs(cfg: ExperimentConfig, embedder=None) -> RunInputs:
+    """Load the manifest, corpus and rubrics of ``cfg``, warn about skipped
+    exam files and unused manifest entries, and build the similarity index
+    when the technique needs one (with ``embedder``, or the configured one).
+
+    Raises RuntimeError when the corpus holds no usable exam."""
     manifest = load_exemplar_manifest(cfg.exemplars_path)
     corpus = load_corpus(cfg.corpus_path, trust_stored_grades=cfg.trust_stored_grades, half=cfg.round_half)
     if not corpus.records:
@@ -213,12 +218,19 @@ def run_experiment(
         logger.warning("corpus: skipped %s (%s)", error.file, error.reason)
     warn_unused_manifest_entries(manifest, corpus)
     rubrics = load_rubrics(cfg.rubric_path)
-
     plan = technique_plan(cfg)
-    index = None
-    if plan.needs_index:
-        index = TaskTextIndex.build(corpus, embedder or make_embedder(cfg))
+    index = TaskTextIndex.build(corpus, embedder or make_embedder(cfg)) if plan.needs_index else None
+    return RunInputs(corpus, rubrics, manifest, plan, index)
 
+
+def run_experiment(cfg: ExperimentConfig, client: ChatClient | None = None, embedder=None) -> EvaluationReport:
+    """Execute one technique over the whole corpus.
+
+    ``client``/``embedder`` can be injected (tests, fixtures); otherwise they
+    are built from the configuration. A failing candidate never aborts the
+    run; it is recorded as errored.
+    """
+    corpus, rubrics, manifest, plan, index = load_run_inputs(cfg, embedder)
     if client is None:
         client = make_client(cfg, corpus)
     if isinstance(client, HttpChatClient):
@@ -239,9 +251,8 @@ def run_experiment(
         outcomes = list(pool.map(grade_one, candidates))
     outcomes.sort(key=lambda o: o.exam_id)
 
-    report = build_report(plan.label, outcomes, corpus, half=cfg.round_half)
-    if write_artifacts:
-        _write_artifacts(cfg, report, outcomes, client, started)
+    report = build_report(plan.label, outcomes, corpus)
+    _write_artifacts(cfg, report, outcomes, client, started)
     return report
 
 
@@ -343,4 +354,4 @@ def rescore_predictions(
                 error=data.get("error"),
             )
         )
-    return build_report(technique, outcomes, corpus, half=half)
+    return build_report(technique, outcomes, corpus)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import logging
+from dataclasses import replace
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -26,6 +28,7 @@ from matura_grader.orchestrator import (
 from matura_grader.prompts import (
     RubricError,
     build_system_prompt,
+    context_intro,
     output_schema_block,
     render_reference_block,
 )
@@ -143,6 +146,36 @@ def test_zero_shot_token_budget_drops_from_end(rubric, small_corpus):
     for entry in dropped:
         assert entry.body not in turn.content
     assert candidate.task(1).body in turn.content  # the candidate is never dropped
+
+
+def test_zero_shot_budgeted_message_is_the_kept_prefix_message(rubric, small_corpus, caplog):
+    # Every budget from "drop nothing" down to 0 (which drops every entry)
+    # yields, byte for byte, the unbudgeted message of the kept prefix.
+    candidate = small_corpus.get("s-06")
+    ctx = select_best_average_worst(small_corpus, 2023, "pack-a", exclude_id=candidate.id)
+    unlimited = build_zero_shot(candidate, ctx, rubric)
+    full = (len(unlimited.system) + len(unlimited.turns[0].content)) // 4
+    caplog.set_level(logging.WARNING, logger="matura_grader.orchestrator")
+    seen = set()
+    for budget in range(full, -1, -25):
+        caplog.clear()
+        script = build_zero_shot(candidate, ctx, rubric, token_budget=budget)
+        kept = ctx.entries[: len(ctx.entries) - script.dropped_context]
+        expected = build_zero_shot(candidate, replace(ctx, entries=kept), rubric)
+        assert script.turns == expected.turns, budget
+        assert script.system == unlimited.system
+        seen.add(script.dropped_context)
+        warnings = [r.getMessage() for r in caplog.records]
+        if script.dropped_context:
+            assert warnings == [
+                f"dropped {script.dropped_context} context text(s) for s-06 to fit the {budget}-token budget"
+            ]
+        else:
+            assert warnings == []
+    assert {0, len(ctx.entries)} <= seen
+    bare = build_zero_shot(candidate, ctx, rubric, token_budget=0).turns[0].content
+    assert context_intro() not in bare
+    assert bare == build_zero_shot(candidate, ContextSelection(), rubric).turns[0].content
 
 
 def _items(corpus, levels, positions=(1, 2)):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from matura_grader.retrieval import FallbackEmbedder, TaskTextIndex
 from matura_grader.runner import (
     build_candidate_script,
     calibration_items,
+    load_run_inputs,
     run_experiment,
     technique_plan,
 )
@@ -472,3 +474,70 @@ def test_cli_run_warns_about_unused_manifest_entries(synthetic_dirs_25, tmp_path
     assert _manifest_warnings(caplog) == _UNUSED_MANIFEST_WARNINGS
     for name in ("metrics.csv", "predictions.jsonl", "transcripts/exam-001.json"):
         assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
+
+
+def _context_config(tmp_path, exam_dir, rubric_dir, technique="baseline") -> Path:
+    config_file = tmp_path / "ctx.conf"
+    config_file.write_text(
+        f"corpus.path = {exam_dir}\nrubric.path = {rubric_dir}\ntechnique = {technique}\n", encoding="utf-8"
+    )
+    return config_file
+
+
+def test_cli_context_logs_skipped_exam_files(synthetic_dirs_25, tmp_path, capsys, caplog):
+    exam_dir, rubric_dir = synthetic_dirs_25
+    copied = tmp_path / "exams"
+    shutil.copytree(exam_dir, copied)
+    (copied / "broken.json").write_text("{not json", encoding="utf-8")
+    config_file = _context_config(tmp_path, copied, rubric_dir)
+    caplog.set_level(logging.WARNING, logger="matura_grader.runner")
+    assert main(["context", "--config", str(config_file), "--candidate", "exam-001"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CONTEXT_SHA256[("baseline", "exam-001")], out
+    skipped = [message for message in _manifest_warnings(caplog) if message.startswith("corpus: skipped ")]
+    assert len(skipped) == 1 and "broken.json" in skipped[0], skipped
+
+
+@pytest.mark.parametrize("command", ["run", "context"])
+def test_cli_empty_corpus_is_fatal(command, synthetic_dirs_25, tmp_path, capsys):
+    _, rubric_dir = synthetic_dirs_25
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    config_file = _context_config(tmp_path, empty, rubric_dir)
+    argv = [command, "--config", str(config_file)] + (["--candidate", "exam-001"] if command == "context" else [])
+    assert main(argv) == 2
+    assert f"no usable exams in {empty}" in capsys.readouterr().err
+
+
+class _CountingEmbedder(FallbackEmbedder):
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.calls = 0
+
+    def embed(self, text):
+        self.calls += 1
+        return super().embed(text)
+
+
+@pytest.mark.parametrize("technique,builds_index", [("rag_most_similar", True), ("few_best_worst", False)])
+def test_load_run_inputs_embeds_only_for_an_index(technique, builds_index, synthetic_dirs_25, corpus_25, tmp_path):
+    exam_dir, rubric_dir = synthetic_dirs_25
+    cfg = _cfg(exam_dir, rubric_dir, tmp_path / "out", technique=technique)
+    embedder = _CountingEmbedder(cfg.embedding_dim)
+    inputs = load_run_inputs(cfg, embedder)
+    assert inputs.plan == technique_plan(cfg)
+    if builds_index:
+        assert embedder.calls == 2 * len(corpus_25)
+        assert inputs.index is not None
+    else:
+        assert embedder.calls == 0
+        assert inputs.index is None
+
+
+def test_cli_context_unknown_candidate_with_an_index_is_fatal(synthetic_dirs_25, tmp_path, capsys):
+    exam_dir, rubric_dir = synthetic_dirs_25
+    config_file = _context_config(tmp_path, exam_dir, rubric_dir, technique="rag_most_similar")
+    assert main(["context", "--config", str(config_file), "--candidate", "fehlt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no exam with id 'fehlt'" in captured.err

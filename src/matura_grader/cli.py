@@ -7,10 +7,12 @@ Exit codes: 0 success, 1 validation errors, 2 fatal errors.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from pathlib import Path
 
 from .clients import ChatTransportError
-from .config import ConfigError, format_defaults, load_config
+from .config import ConfigError, ExperimentConfig, config_from_values, format_defaults, load_config
 from .corpus import load_corpus, validate_record
 from .prompts import grades_line
 from .reporting import accuracy_table_row, emit_report, qwk_table_row
@@ -39,12 +41,27 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _run_config(pred: str) -> ExperimentConfig:
+    """A config with the ``corpus.trust_stored_grades`` and
+    ``grading.round_half`` of the run that wrote ``pred``, read from the
+    ``run_meta.json`` beside it; the defaults without one."""
+    meta = Path(pred).parent / "run_meta.json"
+    if not meta.is_file():
+        return config_from_values({})
+    try:
+        config = json.loads(meta.read_text(encoding="utf-8"))["config"]
+        return config_from_values({key: config[key] for key in ("corpus.trust_stored_grades", "grading.round_half")})
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # AttributeError: a value that is not a string
+        raise ValueError(f"{meta}: malformed run_meta.json ({exc!r})") from None
+
+
 def _cmd_metrics(args) -> int:
-    corpus = load_corpus(args.gold)
+    cfg = _run_config(args.pred)
+    corpus = load_corpus(args.gold, trust_stored_grades=cfg.trust_stored_grades, half=cfg.round_half)
     if not corpus.records:
         print(f"no usable exams in {args.gold}", file=sys.stderr)
         return EXIT_VALIDATION
-    report = rescore_predictions(args.pred, corpus, technique=args.technique)
+    report = rescore_predictions(args.pred, corpus, technique=args.technique, half=cfg.round_half)
     if args.out:
         emit_report(report, args.out)
         print(f"report written to {args.out}")

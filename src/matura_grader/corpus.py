@@ -62,28 +62,19 @@ _PARAGRAPH_SPLIT = re.compile(r"\n\s*\n")
 _CONTROL = re.compile(r"[\x00-\x09\x0b-\x1f\x7f-\x9f]")
 
 
-def normalize_characters(raw: str) -> str:
-    """The character stage of ``normalize_text``: unifies line breaks to
-    "\\n", strips every other control character and joins soft line-break
-    hyphenation ("wor-\\nt" -> "wort")."""
+def normalize_text(raw: str) -> str:
+    """Whitespace/control-character normalization applied to every task body.
+
+    Unifies line breaks to "\\n", strips every other control character,
+    joins soft line-break hyphenation ("wor-\\nt" -> "wort"), collapses
+    whitespace runs to single spaces and keeps paragraph breaks as single
+    blank lines. Idempotent.
+    """
     text = raw.replace("\r\n", "\n").replace("\r", "\n")
     text = _CONTROL.sub("", text)
-    return _HYPHEN_BREAK.sub("", text)
-
-
-def normalize_whitespace(text: str) -> str:
-    """The whitespace stage of ``normalize_text``: collapses whitespace runs
-    to single spaces and keeps paragraph breaks as single blank lines. It
-    only shortens or rewrites runs of whitespace and leaves at least one
-    whitespace character between any two words."""
+    text = _HYPHEN_BREAK.sub("", text)
     paragraphs = [" ".join(p.split()) for p in _PARAGRAPH_SPLIT.split(text)]
     return "\n\n".join(p for p in paragraphs if p)
-
-
-def normalize_text(raw: str) -> str:
-    """Whitespace/control-character normalization applied to every task body:
-    the character stage, then the whitespace stage. Idempotent."""
-    return normalize_whitespace(normalize_characters(raw))
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,6 @@ from .retrieval import ContextSelection
 
 logger = logging.getLogger(__name__)
 
-ZERO_SHOT = "zero_shot"
-FEW_SHOT = "few_shot"
-FEW_SHOT_COT = "few_shot_cot"
-
 # Presentation order of calibration grade levels.
 ORDERING_BASE = "base"
 ORDERING_INVERTED = "inverted"
@@ -92,7 +88,6 @@ Turn = CalibrationUser | AwaitModelGuess | RevealGold | CandidateUser
 class ConversationScript:
     system: str
     turns: tuple[Turn, ...]
-    mode: str
     candidate_id: str
     dropped_context: int = 0
 
@@ -151,7 +146,6 @@ def build_zero_shot(
     return ConversationScript(
         system=system,
         turns=(CandidateUser(content),),
-        mode=ZERO_SHOT,
         candidate_id=candidate.id,
         dropped_context=dropped,
     )
@@ -204,7 +198,6 @@ def build_few_shot_script(
     script = ConversationScript(
         system=system,
         turns=tuple(turns),
-        mode=FEW_SHOT_COT if cot else FEW_SHOT,
         candidate_id=candidate.id,
     )
     if token_budget is not None:

@@ -44,7 +44,7 @@ from operator import mul, neg, sub, truediv
 from pathlib import Path
 
 from .clients import post_json
-from .corpus import Corpus, ExamRecord, normalize_characters, normalize_text
+from .corpus import Corpus, ExamRecord
 from .grading import VALID_GRADES
 
 FALLBACK_DIM = 128
@@ -56,16 +56,9 @@ class EmbeddingError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
-    values: tuple[float, ...]
-    source: str  # "remote_model" | "deterministic_fallback"
-
-
 def cosine_similarity(a, b) -> float:
     """Cosine of two equal-length vectors; errors on zero norm."""
-    va = a.values if isinstance(a, EmbeddingVector) else tuple(a)
-    vb = b.values if isinstance(b, EmbeddingVector) else tuple(b)
+    va, vb = tuple(a), tuple(b)
     if len(va) != len(vb):
         raise ValueError(f"vector length mismatch: {len(va)} vs {len(vb)}")
     dot = sum(x * y for x, y in zip(va, vb))
@@ -87,21 +80,18 @@ class FallbackEmbedder:
 
     Same text always maps to the same vector; token overlap shows up as
     cosine similarity, which is all the selection strategies need. A token
-    is a ``\\w+`` run of the lowercased, normalized text, and it adds one to
-    the bucket its sha256 picks.
+    is a ``\\w+`` run of the lowercased text, and it adds one to the bucket
+    its sha256 picks. Like ``RemoteEmbedder``, it takes the text as given:
+    task bodies are normalized once, when the corpus is loaded.
 
-    ``embed`` applies only the character stage of ``normalize_text``, then
-    counts the whitespace-separated words of the lowercased text with
-    ``Counter``. Each distinct word is split into tokens and hashed once per
-    instance; the word's buckets are remembered, and each word adds its
-    count to its buckets. That equals counting the tokens of the fully
-    normalized text:
+    ``embed`` counts the whitespace-separated words of the lowercased text
+    with ``Counter``. Each distinct word is split into tokens and hashed
+    once per instance; the word's buckets are remembered, and each word
+    adds its count to its buckets. That equals counting the tokens of the
+    whole text:
 
     - no code point is both whitespace and ``\\w``, so no token spans a
       whitespace split, and a text's tokens are those of its words;
-    - the whitespace stage only shortens or rewrites runs of whitespace and
-      leaves at least one whitespace character between two words, so the
-      words stay the same;
     - the only context rule of ``str.lower``, the final sigma, looks no
       further than the nearest whitespace, so lowering a word alone gives
       what lowering the whole text gives;
@@ -112,18 +102,16 @@ class FallbackEmbedder:
     ``embed`` calls may share an instance.
     """
 
-    source = "deterministic_fallback"
-
     def __init__(self, dim: int = FALLBACK_DIM):
         if dim < 1:
             raise ValueError("embedding dimension must be >= 1")
         self.dim = dim
         self._word_buckets: dict[str, tuple[int, ...]] = {}
 
-    def embed(self, text: str) -> EmbeddingVector:
+    def embed(self, text: str) -> tuple[float, ...]:
         counts = [0.0] * self.dim
         memo = self._word_buckets
-        for word, count in Counter(normalize_characters(text).lower().split()).items():
+        for word, count in Counter(text.lower().split()).items():
             buckets = memo.get(word)
             if buckets is None:
                 buckets = memo[word] = tuple(
@@ -134,32 +122,29 @@ class FallbackEmbedder:
                 counts[bucket] += count
         if not any(counts):
             raise EmbeddingError("cannot embed empty text")
-        return EmbeddingVector(tuple(counts), self.source)
+        return tuple(counts)
 
 
 class RemoteEmbedder:
     """Client for a ``POST {base_url}/api/embed`` embedding endpoint."""
-
-    source = "remote_model"
 
     def __init__(self, base_url: str, model: str, timeout: float = 60.0):
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.timeout = timeout
 
-    def embed(self, text: str) -> EmbeddingVector:
-        normalized = normalize_text(text)
-        if not normalized:
+    def embed(self, text: str) -> tuple[float, ...]:
+        if not text.strip():
             raise EmbeddingError("cannot embed empty text")
         endpoint = f"{self.base_url}/api/embed"
-        body = post_json(endpoint, {"model": self.model, "input": normalized}, self.timeout, EmbeddingError, "embedding")
+        body = post_json(endpoint, {"model": self.model, "input": text}, self.timeout, EmbeddingError, "embedding")
         try:
             values = tuple(float(v) for v in body["embeddings"][0])
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise EmbeddingError(f"embedding endpoint returned a malformed body: {endpoint} ({exc!r})") from exc
         if not values or not all(map(math.isfinite, values)):
             raise EmbeddingError(f"embedding endpoint returned a malformed body: {endpoint} (empty or non-finite vector)")
-        return EmbeddingVector(values, self.source)
+        return values
 
 
 # Below this bound every integer is a float, so float products and sums of
@@ -300,7 +285,7 @@ class TaskTextIndex:
         for year, pack in corpus.packs():
             records = corpus.pool(year, pack)
             for position in (1, 2):
-                vectors = tuple(embedder.embed(record.task(position).body).values for record in records)
+                vectors = tuple(embedder.embed(record.task(position).body) for record in records)
                 pools[(year, pack, position)] = _Pool.pack(records, vectors)
         return cls(embedder, pools)
 
@@ -317,7 +302,7 @@ class TaskTextIndex:
         try:
             member = pool.ids.index(candidate.id)
         except ValueError:
-            query_values = self._embedder.embed(candidate.task(position).body).values
+            query_values = self._embedder.embed(candidate.task(position).body)
             squared_norm = _squared_norm(query_values)
             query_norm = math.sqrt(squared_norm)
             query_counts = pool.fit(query_values, squared_norm)

@@ -249,7 +249,6 @@ def run_experiment(cfg: ExperimentConfig, client: ChatClient | None = None, embe
 
     with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
         outcomes = list(pool.map(grade_one, candidates))
-    outcomes.sort(key=lambda o: o.exam_id)
 
     report = build_report(plan.label, outcomes, corpus)
     _write_artifacts(cfg, report, outcomes, client, started)

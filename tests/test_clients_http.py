@@ -125,20 +125,25 @@ def test_chat_client_unreachable():
 
 def test_remote_embedder_protocol(stub_server):
     embedder = RemoteEmbedder(stub_server, model="einbettung")
-    vector = embedder.embed("ein kurzer text")
-    assert vector.source == "remote_model"
-    assert vector.values == (1.0, 2.0, float(len("ein kurzer text")))
+    assert embedder.embed("ein kurzer text") == (1.0, 2.0, float(len("ein kurzer text")))
 
     path, payload = _Handler.requests_seen[-1]
     assert path == "/api/embed"
     assert payload == {"model": "einbettung", "input": "ein kurzer text"}
 
 
-def test_remote_embedder_normalizes_before_sending(stub_server):
-    embedder = RemoteEmbedder(stub_server, model="einbettung")
-    embedder.embed("ein   text\nmit   läng-\nsten  wörtern")
+def test_remote_embedder_sends_the_text_verbatim(stub_server):
+    text = "ein   text\r\nmit \x07 läng-\nsten  wörtern "
+    RemoteEmbedder(stub_server, model="einbettung").embed(text)
     _, payload = _Handler.requests_seen[-1]
-    assert payload["input"] == "ein text mit längsten wörtern"
+    assert payload["input"] == text
+
+
+@pytest.mark.parametrize("text", ["", " ", "\n\n\t\u3000"])
+def test_remote_embedder_refuses_blank_text_unsent(stub_server, text):
+    with pytest.raises(EmbeddingError, match="cannot embed empty text"):
+        RemoteEmbedder(stub_server, model="einbettung").embed(text)
+    assert _Handler.requests_seen == []
 
 
 def test_remote_embedder_error_status(stub_server):
@@ -289,7 +294,7 @@ def test_request_body_on_the_wire(fault_server):
         {"role": "user", "content": "Bewerte: Die Größe der Übung ärgert Jörg über die Maßen."},
     ]
     assert HttpChatClient(url, model="modell", temperature=0.25, seed=11).chat(messages) == "gut"
-    assert RemoteEmbedder(url, model="einbettung").embed("Straße über Öl").values == (1.0,)
+    assert RemoteEmbedder(url, model="einbettung").embed("Straße über Öl") == (1.0,)
 
     chat_payload = {"model": "modell", "messages": messages, "stream": False, "options": {"temperature": 0.25, "seed": 11}}
     embed_payload = {"model": "einbettung", "input": "Straße über Öl"}

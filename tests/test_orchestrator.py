@@ -98,7 +98,6 @@ def test_cot_adds_reasoning_instruction(rubric):
 def test_zero_shot_baseline_has_only_candidate_block(rubric, small_corpus):
     candidate = small_corpus.get("s-03")
     script = build_zero_shot(candidate, ContextSelection(), rubric)
-    assert script.mode == "zero_shot"
     (turn,) = script.turns
     assert isinstance(turn, CandidateUser)
     assert candidate.task(1).body in turn.content
@@ -196,7 +195,6 @@ def test_ordering_sequences():
 def test_few_shot_base_order_and_turn_protocol(rubric, small_corpus):
     candidate = small_corpus.get("s-06")
     script = build_few_shot_script(_items(small_corpus, (1, 3, 5)), "base", candidate, rubric)
-    assert script.mode == "few_shot"
     calibration = [t for t in script.turns if isinstance(t, CalibrationUser)]
     reveals = [t for t in script.turns if isinstance(t, RevealGold)]
     guesses = [t for t in script.turns if isinstance(t, AwaitModelGuess)]

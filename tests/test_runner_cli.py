@@ -14,6 +14,7 @@ import pytest
 from matura_grader.cli import main
 from matura_grader.clients import ChatClient, ChatTransportError, MockChatClient
 from matura_grader.config import config_from_values
+from matura_grader.corpus import normalize_text
 from matura_grader.metrics import DIMENSION_KEYS
 from matura_grader.retrieval import FallbackEmbedder, TaskTextIndex
 from matura_grader.runner import (
@@ -23,6 +24,7 @@ from matura_grader.runner import (
     run_experiment,
     technique_plan,
 )
+from matura_grader.synthetic import make_synthetic
 
 
 def _cfg(exam_dir, rubric_dir, out_dir, **overrides):
@@ -432,6 +434,66 @@ def test_cli_metrics_rejects_duplicate_prediction_id(synthetic_dirs_25, corpus_2
     assert f"{pred}:3: duplicate prediction for 'exam-001' (first on line 1)" in err, err
 
 
+@pytest.fixture(scope="module")
+def synthetic_dirs_40(tmp_path_factory):
+    return make_synthetic(tmp_path_factory.mktemp("corpus40"), n=40, seed=3)
+
+
+def _run_then_rescore(exam_dir, rubric_dir, tmp_path, *settings) -> tuple[int, Path]:
+    """Run ``baseline`` with echo-gold answers and ``settings``, then
+    re-score its predictions with ``metrics``; the exit code and run dir."""
+    out = tmp_path / "out"
+    config_file = tmp_path / "exp.conf"
+    config_file.write_text(
+        "\n".join(
+            [f"corpus.path = {exam_dir}", f"rubric.path = {rubric_dir}", f"output.dir = {out}"]
+            + ["technique = baseline", "client.policy = echo_gold", *settings]
+        ),
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(config_file)]) == 0
+    argv = ["metrics", "--pred", str(out / "predictions.jsonl"), "--gold", str(exam_dir)]
+    return main(argv + ["--technique", "baseline", "--out", str(tmp_path / "rescored")]), out
+
+
+def test_cli_metrics_rescores_with_the_runs_rounding(synthetic_dirs_40, tmp_path, capsys):
+    exam_dir, rubric_dir = synthetic_dirs_40
+    code, out = _run_then_rescore(
+        exam_dir, rubric_dir, tmp_path, "grading.round_half = worse", "corpus.trust_stored_grades = true"
+    )
+    assert code == 0, capsys.readouterr().err
+    assert ",0.993443," in (out / "metrics.csv").read_text(encoding="utf-8")
+    assert (tmp_path / "rescored" / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
+
+
+def test_cli_metrics_loads_the_gold_corpus_as_the_run_did(synthetic_dirs_40, tmp_path, capsys):
+    exam_dir, rubric_dir = synthetic_dirs_40
+    copied = tmp_path / "exams"
+    shutil.copytree(exam_dir, copied)
+    exam = copied / "exam-001.json"
+    data = json.loads(exam.read_text(encoding="utf-8"))
+    data["gold"]["final"] = 2 if data["gold"]["final"] != 2 else 3
+    exam.write_text(json.dumps(data), encoding="utf-8")
+    code, out = _run_then_rescore(copied, rubric_dir, tmp_path, "corpus.trust_stored_grades = true")
+    assert code == 0, capsys.readouterr().err
+    assert (tmp_path / "rescored" / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "meta",
+    ["{not json", "[]", '{"config": []}', '{"config": {"grading.round_half": "worse"}}',
+     '{"config": {"grading.round_half": "sometimes", "corpus.trust_stored_grades": "false"}}',
+     '{"config": {"grading.round_half": "worse", "corpus.trust_stored_grades": true}}'],
+)
+def test_cli_metrics_rejects_a_malformed_run_meta(meta, synthetic_dirs_25, tmp_path, capsys):
+    exam_dir, _ = synthetic_dirs_25
+    pred = tmp_path / "predictions.jsonl"
+    pred.write_text("", encoding="utf-8")
+    (tmp_path / "run_meta.json").write_text(meta, encoding="utf-8")
+    assert main(["metrics", "--pred", str(pred), "--gold", str(exam_dir)]) == 2
+    assert f"{tmp_path / 'run_meta.json'}: malformed run_meta.json" in capsys.readouterr().err
+
+
 # Every entry falls back to the automatic pick: a pack the corpus lacks, an
 # unknown id, an id of another pack, and exam-001 itself, which is in its pack
 # and is only skipped (without a warning) when it is the candidate.
@@ -510,12 +572,14 @@ def test_cli_empty_corpus_is_fatal(command, synthetic_dirs_25, tmp_path, capsys)
 
 
 class _CountingEmbedder(FallbackEmbedder):
+    """Records every text it is asked to embed."""
+
     def __init__(self, dim):
         super().__init__(dim)
-        self.calls = 0
+        self.texts = []
 
     def embed(self, text):
-        self.calls += 1
+        self.texts.append(text)
         return super().embed(text)
 
 
@@ -527,10 +591,10 @@ def test_load_run_inputs_embeds_only_for_an_index(technique, builds_index, synth
     inputs = load_run_inputs(cfg, embedder)
     assert inputs.plan == technique_plan(cfg)
     if builds_index:
-        assert embedder.calls == 2 * len(corpus_25)
+        assert len(embedder.texts) == 2 * len(corpus_25)
         assert inputs.index is not None
     else:
-        assert embedder.calls == 0
+        assert len(embedder.texts) == 0
         assert inputs.index is None
 
 
@@ -541,3 +605,30 @@ def test_cli_context_unknown_candidate_with_an_index_is_fatal(synthetic_dirs_25,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "no exam with id 'fehlt'" in captured.err
+
+
+def _raw_body(body: str) -> str:
+    """``body`` as a file may hold it: CRLF line breaks, control characters,
+    a soft hyphen break inside a word and runs of whitespace."""
+    words = body.split()
+    words[1] = words[1][:1] + "-\n" + words[1][1:]
+    return "\x00 " + " \t\r\n  ".join(words[:6]) + "\r\n\r\n\r\n\x07" + "   ".join(words[6:]) + "\x1b\x85 "
+
+
+@pytest.mark.parametrize("technique", ["rag_most_similar", "rag_range"])
+def test_embedder_receives_only_loaded_bodies(technique, synthetic_dirs_25, tmp_path):
+    exam_dir, rubric_dir = synthetic_dirs_25
+    raw_dir = tmp_path / "exams"
+    raw_dir.mkdir()
+    for exam in sorted(Path(exam_dir).glob("*.json")):
+        data = json.loads(exam.read_text(encoding="utf-8"))
+        for task in data["tasks"]:
+            task["body"] = _raw_body(task["body"])
+            assert normalize_text(task["body"]) != task["body"]
+        (raw_dir / exam.name).write_text(json.dumps(data), encoding="utf-8")
+    cfg = _cfg(raw_dir, rubric_dir, tmp_path / "out", technique=technique)
+    embedder = _CountingEmbedder(cfg.embedding_dim)
+    inputs = load_run_inputs(cfg, embedder)
+    assert len(embedder.texts) == 2 * len(inputs.corpus) == 50
+    for text in embedder.texts:
+        assert normalize_text(text) == text

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 
 from .clients import ChatClient, ChatTransportError
@@ -236,22 +237,82 @@ def serialize_assessment(assessment: ModelAssessment) -> str:
     return json.dumps(sheet, ensure_ascii=False)
 
 
+# Caps on the search for a reply's JSON object; see ``_first_json_object``.
+_MAX_DEPTH = 64
+_WORK_PER_CHAR = 32
+
+# A bracket, or a JSON string (which may run unterminated to the end).
+_BRACKET_OR_STRING = re.compile(r'[{}\[\]]|"(?:[^"\\]|\\.)*(?:"|\\?\Z)', re.DOTALL)
+
+
+def _nests_within(value, levels: int) -> bool:
+    """Whether a decoded JSON value nests at most ``levels`` objects and arrays deep."""
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, list):
+        return True
+    return levels > 0 and all(_nests_within(child, levels - 1) for child in value)
+
+
+def _sweep_brackets(raw: str, start: int, closes: dict[int, bool]) -> int:
+    """Count brackets outside strings from the ``{`` at ``start`` until it
+    closes, and record in ``closes`` for every opening bracket met on the
+    way whether it closes within ``_MAX_DEPTH`` levels. Outside a string,
+    every lexing that reaches a position reads the same brackets from there
+    on, so each recorded bracket is decided as a sweep from it would decide
+    it. Returns the number of characters swept."""
+    stack: list[int] = []
+    end = len(raw)
+    for match in _BRACKET_OR_STRING.finditer(raw, start):
+        token = match[0]
+        if token in "{[":
+            stack.append(match.start())
+            if len(stack) > _MAX_DEPTH:
+                closes[stack[-_MAX_DEPTH - 1]] = False
+        elif token in "}]":
+            closes.setdefault(stack.pop(), True)
+            if not stack:
+                end = match.end()
+                break
+    closes.update(dict.fromkeys(stack, False))
+    return end - start
+
+
 def _first_json_object(raw: str) -> dict | None:
-    """The first JSON object that decodes from some ``{`` of ``raw``.
+    """The first JSON object that decodes from some ``{`` of ``raw`` and
+    nests at most ``_MAX_DEPTH`` (64) objects and arrays deep.
 
     A candidate that does not decode is skipped, including one whose integer
     exceeds the interpreter's digit limit (a ``ValueError``) or whose
-    nesting exceeds the recursion limit."""
+    nesting exceeds the recursion limit. The work per reply is capped:
+
+    - after a candidate fails, one sweep over the brackets that follow it
+      (``_sweep_brackets``) marks every ``{`` it meets that never closes, or
+      closes only past ``_MAX_DEPTH`` levels; none of those is decoded. A
+      reply of 6000 unclosed ``{"a": `` is then rejected after one failed
+      decode and one sweep, not 6000 decodes;
+    - once the failed or too deep decodes and the sweeps have examined
+      ``_WORK_PER_CHAR`` (32) characters per character of the reply, the
+      rest of the reply is not searched and no object is found.
+    """
     decoder = json.JSONDecoder()
+    closes: dict[int, bool] = {}
+    budget = _WORK_PER_CHAR * len(raw)
     start = raw.find("{")
-    while start != -1:
-        try:
-            obj, _ = decoder.raw_decode(raw, start)
-        except (ValueError, RecursionError):
-            pass
-        else:
-            if isinstance(obj, dict):
-                return obj
+    while start != -1 and budget >= 0:
+        if closes.get(start, True):
+            try:
+                obj, end = decoder.raw_decode(raw, start)
+            except (ValueError, RecursionError) as exc:
+                end = getattr(exc, "pos", len(raw))
+            else:
+                # Fewer brackets than levels cannot nest too deep.
+                brackets = raw.count("{", start, end) + raw.count("[", start, end)
+                if brackets <= _MAX_DEPTH or _nests_within(obj, _MAX_DEPTH):
+                    return obj
+            budget -= end - start
+            if start not in closes:
+                budget -= _sweep_brackets(raw, start, closes)
         start = raw.find("{", start + 1)
     return None
 

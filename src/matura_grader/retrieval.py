@@ -13,9 +13,11 @@ vector's norm computed once at build, on one of two paths:
   vectors: floats that are non-negative whole numbers, of one length, with
   squared norms below 2**53, as the fallback embedder's bucket counts are.
   Each dimension of the pool is packed into one big integer at build, so a
-  query is one multiply-add per dimension for the whole pool;
+  query is one multiply-add per dimension for the whole pool. Such a pool
+  keeps its vectors only as integers;
 - the float path, for anything else (remote float embeddings, a fractional
-  query): one C-level dot product per pair.
+  query): one C-level dot product per pair, read from an integer pool's
+  integers where the pool has them.
 
 Both are bit-identical to ``cosine_similarity``. The float path performs its
 products and left-to-right sum. On the integer path every product and
@@ -188,12 +190,13 @@ def _restride(data, count: int, width: int, new_width: int) -> bytearray:
 class _Pool:
     """One (year, pack, task position) pool as parallel tuples, sorted by id.
 
-    ``counts`` and ``columns`` are empty unless every vector is a count
-    vector: float whole numbers, all of one length, each with a squared
-    norm in (0, 2**53). Then ``counts`` holds the vectors as integers, one
-    after the other, and ``columns[j]`` packs dimension j of vector i into
-    byte slot i, ``slot`` bytes wide: the fewest whole bytes that hold the
-    pool's largest squared norm."""
+    An integer pool is one whose every vector is a count vector: float whole
+    numbers, all of one length, each with a squared norm in (0, 2**53). It
+    keeps each vector once, as integers: ``counts`` holds them one after
+    the other, ``vectors`` is empty, and ``columns[j]`` packs dimension j of
+    vector i into byte slot i, ``slot`` bytes wide: the fewest whole bytes
+    that hold the pool's largest squared norm. Any other pool keeps its
+    float ``vectors``, and ``counts`` and ``columns`` are empty."""
 
     records: tuple[ExamRecord, ...]
     ids: tuple[str, ...]
@@ -219,12 +222,15 @@ class _Pool:
             int.from_bytes(_restride(raw[j * _WORD_BYTES :], len(records), dim * _WORD_BYTES, slot), "little")
             for j in range(dim)
         )
-        return cls(records, ids, vectors, norms, counts, columns, slot)
+        return cls(records, ids, (), norms, counts, columns, slot)
 
-    def member_counts(self, member: int) -> tuple[int, ...] | None:
-        """Pool vector ``member`` as integers, or None without columns."""
+    def vector(self, member: int) -> tuple:
+        """Pool vector ``member``: integers in an integer pool, else floats.
+        A float times an integer below 2**53 is the float product with the
+        equal float, so the float path gives the same similarities from
+        either."""
         dim = len(self.columns)
-        return self.counts[member * dim : (member + 1) * dim] if dim else None
+        return self.counts[member * dim : (member + 1) * dim] if dim else self.vectors[member]
 
     def fit(self, values, squared_norm) -> tuple[int, ...] | None:
         """A non-member query as integers when it can take the integer
@@ -270,7 +276,9 @@ class TaskTextIndex:
     - Float path, for everything else (remote float embeddings, a query
       with a fractional value or too large a norm, a zero vector, mixed
       lengths): one ``sum(map(mul, ...))`` per pair, the products and
-      left-to-right sum of ``cosine_similarity``, with its errors.
+      left-to-right sum of ``cosine_similarity``, with its errors. Against
+      an integer pool it multiplies the float query by the pool's integers,
+      each below 2**53 and so equal to its float.
 
     The scan stays in pure Python on purpose: importing numpy adds about
     13 MiB of resident memory, some 30% of a 300-exam mock run's peak."""
@@ -307,16 +315,17 @@ class TaskTextIndex:
             query_norm = math.sqrt(squared_norm)
             query_counts = pool.fit(query_values, squared_norm)
         else:
-            query_values, query_norm = pool.vectors[member], pool.norms[member]
-            query_counts = pool.member_counts(member)
+            query_values, query_norm = pool.vector(member), pool.norms[member]
+            query_counts = query_values if pool.columns else None
         if query_counts is not None:
             similarities = map(truediv, pool.dots(query_counts), map(mul, repeat(query_norm), pool.norms))
             rows = zip(map(neg, similarities), pool.ids, pool.records)
         else:
             rows = []
-            for record, values, norm in zip(pool.records, pool.vectors, pool.norms):
+            for number, (record, norm) in enumerate(zip(pool.records, pool.norms)):
                 if record.id == candidate.id:
                     continue
+                values = pool.vector(number)
                 if len(query_values) != len(values):
                     raise ValueError(f"vector length mismatch: {len(query_values)} vs {len(values)}")
                 if query_norm == 0.0 or norm == 0.0:

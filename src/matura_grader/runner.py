@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import ExitStack, closing
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 from .clients import ChatClient, HttpChatClient, MockChatClient, parse_policy
 from .config import TECHNIQUES, ConfigError, ExperimentConfig, config_hash, technique_label
@@ -229,6 +231,13 @@ def run_experiment(cfg: ExperimentConfig, client: ChatClient | None = None, embe
     ``client``/``embedder`` can be injected (tests, fixtures); otherwise they
     are built from the configuration. A failing candidate never aborts the
     run; it is recorded as errored.
+
+    Outcomes are consumed in candidate order as they are graded: each
+    candidate's transcript and prediction line are written at once, and only
+    what ``build_report`` reads is kept. The prediction lines go to
+    ``predictions.jsonl.partial``, which becomes ``predictions.jsonl`` when
+    the run completes. With ``runner.parallelism = 1`` candidates are graded
+    in the calling thread, one at a time.
     """
     corpus, rubrics, manifest, plan, index = load_run_inputs(cfg, embedder)
     if client is None:
@@ -247,43 +256,59 @@ def run_experiment(cfg: ExperimentConfig, client: ChatClient | None = None, embe
             logger.exception("candidate %s failed", candidate.id)
             return GradeOutcome(candidate.id, None, None, transcript=(), error=f"internal: {exc}")
 
-    with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-        outcomes = list(pool.map(grade_one, candidates))
+    out = Path(cfg.output_dir)
+    outcomes: list[GradeOutcome] = []
+    with ExitStack() as stack:
+        if cfg.parallelism == 1:
+            graded = (grade_one(candidate) for candidate in candidates)
+        else:
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=cfg.parallelism))
+            graded = pool.map(grade_one, candidates)
+        # Closed first on the way out, which cancels the candidates not yet started.
+        stack.enter_context(closing(graded))
+        predictions = None
+        for outcome in graded:
+            if predictions is None:
+                (out / "transcripts").mkdir(parents=True, exist_ok=True)
+                predictions = stack.enter_context((out / _PARTIAL_PREDICTIONS).open("w", encoding="utf-8"))
+            _write_outcome(out, predictions, outcome)
+            outcomes.append(replace(outcome, transcript=(), guesses=()))
 
     report = build_report(plan.label, outcomes, corpus)
-    _write_artifacts(cfg, report, outcomes, client, started)
+    _write_artifacts(cfg, report, client, started)
     return report
+
+
+_PARTIAL_PREDICTIONS = "predictions.jsonl.partial"
+
+
+def _write_outcome(out: Path, predictions: TextIO, outcome: GradeOutcome) -> None:
+    """Append one candidate's prediction line and write its transcript."""
+    predictions.write(json.dumps(_outcome_record(outcome), ensure_ascii=False, sort_keys=True) + "\n")
+    payload = {
+        "exam_id": outcome.exam_id,
+        "messages": list(outcome.transcript),
+        "guesses": list(outcome.guesses),
+        "attempts": outcome.attempts,
+        "error": outcome.error,
+    }
+    (out / "transcripts" / f"{outcome.exam_id}.json").write_text(
+        json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=1) + "\n", encoding="utf-8"
+    )
 
 
 def _write_artifacts(
     cfg: ExperimentConfig,
     report: EvaluationReport,
-    outcomes: list[GradeOutcome],
     client: ChatClient,
     started: datetime,
 ) -> None:
+    """The run-level files: metrics and report, ``predictions.jsonl`` from
+    its partial file, and ``run_meta.json``."""
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     digest = config_hash(cfg)
     emit_report(report, out, config_hash=digest)
-
-    with (out / "predictions.jsonl").open("w", encoding="utf-8") as handle:
-        for outcome in outcomes:
-            handle.write(json.dumps(_outcome_record(outcome), ensure_ascii=False, sort_keys=True) + "\n")
-
-    transcripts = out / "transcripts"
-    transcripts.mkdir(exist_ok=True)
-    for outcome in outcomes:
-        payload = {
-            "exam_id": outcome.exam_id,
-            "messages": list(outcome.transcript),
-            "guesses": list(outcome.guesses),
-            "attempts": outcome.attempts,
-            "error": outcome.error,
-        }
-        (transcripts / f"{outcome.exam_id}.json").write_text(
-            json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-        )
+    os.replace(out / _PARTIAL_PREDICTIONS, out / "predictions.jsonl")
 
     meta = {
         "technique": report.technique,

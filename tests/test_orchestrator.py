@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import time
 from dataclasses import replace
 
 import pytest
@@ -389,6 +390,52 @@ def test_parse_assessment_skips_undecodable_candidates(raw):
     assessment = parse_assessment(raw + " " + _SHEET)
     assert assessment.task1 == {d: 2 for d in DIMENSIONS}
     assert assessment.failure_reason.startswith("grade out of range: task2.content")
+
+
+def test_parse_assessment_rejects_a_long_unclosed_reply_quickly():
+    raw = '{"a": ' * 6000  # 36 KB of objects that never close
+    started = time.perf_counter()
+    assessment = parse_assessment(raw)
+    elapsed = time.perf_counter() - started
+    assert assessment.failure_reason == "no JSON object found"
+    assert elapsed < 0.25
+
+
+def test_parse_assessment_finds_the_sheet_after_objects_closed_past_the_depth_cap():
+    # 5000 nested objects that close again but whose innermost value is
+    # missing: none decodes, and each nests past the cap, so the sweep rules
+    # them out before the work cap is spent.
+    assessment = parse_assessment('{"a": ' * 5000 + "}" * 5000 + " " + _SHEET)
+    assert assessment.task1 == {d: 2 for d in DIMENSIONS}
+
+
+@pytest.mark.parametrize(
+    "raw, expected",
+    [
+        ('{ x {"a": "{"} {"b": 1}', {"a": "{"}),
+        ('{ x {"a": "}"} {"b": 1}', {"a": "}"}),
+        ('{ x {"a": "\\"{"} {"b": 1}', {"a": '"{'}),
+        ('{ x {"a": "\\\\"} {"b": 1}', {"a": "\\"}),
+    ],
+    ids=["open_brace_in_string", "close_brace_in_string", "escaped_quote", "escaped_backslash"],
+)
+def test_first_json_object_reads_brackets_in_strings_after_a_failed_candidate(raw, expected):
+    assert _first_json_object(raw) == expected == _first_json_object_by_slicing(raw)
+
+
+def _nested(levels: int) -> str:
+    return '{"a": ' * (levels - 1) + "{}" + "}" * (levels - 1)
+
+
+def test_first_json_object_skips_an_object_nested_past_the_cap():
+    assert _first_json_object(_nested(64)) == json.loads(_nested(64))
+    # From the first brace the object nests 65 deep; from the second, 64.
+    assert _first_json_object(_nested(65)) == json.loads(_nested(64))
+    # Arrays count as levels too.
+    too_deep = '{"a": ' + "[" * 63 + "{}" + "]" * 63 + "}"
+    assert _first_json_object(too_deep) == {}
+    deep = '{"a": ' + "[" * 62 + "{}" + "]" * 62 + "}"
+    assert _first_json_object(deep) == json.loads(deep)
 
 
 def test_parse_serialize_round_trip():

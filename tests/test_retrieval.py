@@ -736,6 +736,7 @@ def test_integer_path_serves_every_fallback_query(corpus_60_with_ties):
     corpus = corpus_60_with_ties
     index = TaskTextIndex.build(corpus, FallbackEmbedder())
     assert index._pools and all(pool.columns and pool.counts for pool in index._pools.values())
+    assert all(pool.vectors == () for pool in index._pools.values())  # no float copy
     for candidate in corpus.records:
         for position in (1, 2):
             assert _ranking(index, candidate, position, candidate.year, candidate.pack) == _full_scan(
@@ -814,14 +815,16 @@ def test_non_member_query_against_an_integer_pool(query):
     table["query"] = query
     index = TaskTextIndex.build(corpus, _TableEmbedder(table))
     pool = index._pools[(2023, "pack-a", 1)]
-    assert pool.columns and pool.slot == 1
+    assert pool.columns and pool.slot == 1 and pool.vectors == ()
     counts = pool.fit(query, sum(x * x for x in query))
     assert (counts is not None) == (query == (1.0, 1.0, 1.0, 0.0, 0.0, 3.0))
     outsider = _outsider(corpus.records[0], "query", "query")
     assert _ranking(index, outsider, 1) == _table_scan(make_corpus(corpus.records + (outsider,)), table, outsider, 1)
 
 
-@pytest.mark.parametrize("query", [(1.0, 2.0, 1.0), (1.0,) * 7], ids=["shorter", "longer"])
+@pytest.mark.parametrize(
+    "query", [(1.0, 2.0, 1.0), (1.0,) * 7, (0.5, 2.0, 1.0)], ids=["shorter", "longer", "fractional_shorter"]
+)
 def test_non_member_query_of_another_length_against_an_integer_pool(query):
     corpus, table = _table_corpus(_random_counts("small-counts", 20, 6, high=3))
     table["query"] = query
@@ -830,6 +833,18 @@ def test_non_member_query_of_another_length_against_an_integer_pool(query):
     with pytest.raises(ValueError) as want:
         cosine_similarity(query, table[corpus.records[0].task(1).body])
     with pytest.raises(ValueError, match="length mismatch") as got:
+        index.query(2023, "pack-a", 1, _outsider(corpus.records[0], "query", "query"))
+    assert str(got.value) == str(want.value)
+
+
+def test_zero_query_against_an_integer_pool_raises_the_oracle_error():
+    corpus, table = _table_corpus(_random_counts("small-counts", 20, 6, high=3))
+    table["query"] = (0.0,) * 6
+    index = TaskTextIndex.build(corpus, _TableEmbedder(table))
+    assert index._pools[(2023, "pack-a", 1)].vectors == ()
+    with pytest.raises(ValueError) as want:
+        cosine_similarity(table["query"], table[corpus.records[0].task(1).body])
+    with pytest.raises(ValueError, match="zero-norm") as got:
         index.query(2023, "pack-a", 1, _outsider(corpus.records[0], "query", "query"))
     assert str(got.value) == str(want.value)
 

@@ -7,15 +7,17 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from matura_grader import runner
 from matura_grader.cli import main
 from matura_grader.clients import ChatClient, ChatTransportError, MockChatClient
 from matura_grader.config import config_from_values
 from matura_grader.corpus import normalize_text
-from matura_grader.metrics import DIMENSION_KEYS
+from matura_grader.metrics import DIMENSION_KEYS, build_report
 from matura_grader.retrieval import FallbackEmbedder, TaskTextIndex
 from matura_grader.runner import (
     build_candidate_script,
@@ -94,6 +96,12 @@ def test_runs_are_byte_deterministic(synthetic_dirs_25, tmp_path):
     )
 
 
+def _artifact_bytes(out: Path) -> dict[str, bytes]:
+    """The deterministic artifacts: metrics, predictions and transcripts."""
+    files = [out / "metrics.csv", out / "predictions.jsonl", *sorted((out / "transcripts").iterdir())]
+    return {path.relative_to(out).as_posix(): path.read_bytes() for path in files}
+
+
 def test_parallel_run_matches_serial(synthetic_dirs_25, tmp_path):
     exam_dir, rubric_dir = synthetic_dirs_25
     serial = _cfg(exam_dir, rubric_dir, tmp_path / "serial", **{"client.policy": "echo_gold"})
@@ -104,6 +112,96 @@ def test_parallel_run_matches_serial(synthetic_dirs_25, tmp_path):
     run_experiment(serial)
     run_experiment(parallel)
     assert (tmp_path / "serial" / "metrics.csv").read_bytes() == (tmp_path / "parallel" / "metrics.csv").read_bytes()
+    serial_files = _artifact_bytes(tmp_path / "serial")
+    assert len(serial_files) == 2 + 25
+    assert _artifact_bytes(tmp_path / "parallel") == serial_files
+    for out in ("serial", "parallel"):
+        assert not (tmp_path / out / "predictions.jsonl.partial").exists()
+
+
+class _WatchingClient(MockChatClient):
+    """Echoes gold, and on each candidate's first chat call records the
+    calling thread and the transcripts already on disk."""
+
+    def __init__(self, corpus, transcripts: Path):
+        super().__init__("echo_gold", corpus=corpus)
+        self.transcripts = transcripts
+        self.first_calls: dict[str, tuple[int, list[str]]] = {}
+
+    def chat(self, messages, exam_id=None):
+        if exam_id not in self.first_calls:
+            on_disk = sorted(p.stem for p in self.transcripts.glob("*.json"))
+            self.first_calls[exam_id] = (threading.get_ident(), on_disk)
+        return super().chat(messages, exam_id=exam_id)
+
+
+def test_serial_run_grades_inline_and_writes_each_transcript_before_the_next_call(
+    synthetic_dirs_25, corpus_25, tmp_path
+):
+    exam_dir, rubric_dir = synthetic_dirs_25
+    out = tmp_path / "out"
+    client = _WatchingClient(corpus_25, out / "transcripts")
+    run_experiment(_cfg(exam_dir, rubric_dir, out, technique="few_best_worst"), client=client)
+    ids = sorted(r.id for r in corpus_25.records)
+    assert list(client.first_calls) == ids
+    for k, exam_id in enumerate(ids):
+        thread, on_disk = client.first_calls[exam_id]
+        assert thread == threading.get_ident()
+        assert on_disk == ids[:k]
+
+
+def test_build_report_receives_outcomes_without_transcripts(synthetic_dirs_25, tmp_path, monkeypatch):
+    exam_dir, rubric_dir = synthetic_dirs_25
+    received = []
+
+    def capture(technique, outcomes, corpus):
+        received.extend(outcomes)
+        return build_report(technique, outcomes, corpus)
+
+    monkeypatch.setattr(runner, "build_report", capture)
+    out = tmp_path / "out"
+    report = run_experiment(_cfg(exam_dir, rubric_dir, out, technique="few_best_worst"))
+    assert report.n == 25 and len(received) == 25
+    assert all(o.transcript == () and o.guesses == () for o in received)
+    assert all(o.valid and o.derived is not None for o in received)
+    transcript = json.loads((out / "transcripts" / f"{received[0].exam_id}.json").read_text())
+    assert len(transcript["guesses"]) == 3 and transcript["messages"]
+
+
+class _InterruptedClient(MockChatClient):
+    """Echoes gold until the candidate ``stop_id``, where it raises
+    ``KeyboardInterrupt`` as a user's Ctrl-C would."""
+
+    def __init__(self, corpus, stop_id):
+        super().__init__("echo_gold", corpus=corpus)
+        self.stop_id = stop_id
+
+    def chat(self, messages, exam_id=None):
+        if exam_id == self.stop_id:
+            raise KeyboardInterrupt
+        return super().chat(messages, exam_id=exam_id)
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_interrupted_run_leaves_graded_transcripts_and_a_partial_file(
+    parallelism, synthetic_dirs_25, corpus_25, tmp_path
+):
+    exam_dir, rubric_dir = synthetic_dirs_25
+    ids = sorted(r.id for r in corpus_25.records)
+    k = 7
+    out = tmp_path / "out"
+    cfg = _cfg(exam_dir, rubric_dir, out, **{"runner.parallelism": parallelism})
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(cfg, client=_InterruptedClient(corpus_25, ids[k]))
+    assert sorted(p.stem for p in (out / "transcripts").iterdir()) == ids[:k]
+    lines = (out / "predictions.jsonl.partial").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["id"] for line in lines] == ids[:k]
+    assert not (out / "predictions.jsonl").exists()
+    assert not (out / "metrics.csv").exists() and not (out / "run_meta.json").exists()
+
+    run_experiment(cfg)  # a complete run publishes predictions.jsonl
+    assert not (out / "predictions.jsonl.partial").exists()
+    assert len((out / "predictions.jsonl").read_text(encoding="utf-8").splitlines()) == 25
 
 
 class _FlakyClient(ChatClient):

@@ -9,40 +9,49 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .clients import parse_policy
 from .grading import VALID_GRADES
-from .orchestrator import ORDERING_BASE, ORDERING_SCHEMES
-from .retrieval import BASELINE, BEST_AVERAGE_WORST, MOST_SIMILAR, RANGE_OF_EXAMPLES
+from .orchestrator import ORDERINGS
+from .retrieval import BASELINE, BEST_AVERAGE_WORST, MOST_SIMILAR, RANGE_OF_EXAMPLES, ContextStrategy
 
 BEST_WORST_LEVELS = (1, 3, 5)
 ALL_GRADE_LEVELS = VALID_GRADES
 
 
 @dataclass(frozen=True)
-class TechniqueSpec:
-    """One technique: its report label and either a zero-shot context
-    variant or calibration groups of (task positions, grade levels)."""
+class TechniquePlan:
+    """How one technique maps onto context building and scripting: its
+    report label and either a zero-shot context strategy or calibration
+    groups of (task positions, grade levels)."""
 
-    label: str  # template over k and n5 (= 5 * technique.n)
-    context: str | None = None
+    label: str  # in TECHNIQUES, a template over k and n5 (= 5 * technique.n)
+    strategy: ContextStrategy | None = None  # zero-shot context; None for few-shot
     calibration_groups: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
     cot: bool = False
 
+    @property
+    def zero_shot(self) -> bool:
+        return self.strategy is not None
 
-TECHNIQUES: dict[str, TechniqueSpec] = {
-    "baseline": TechniqueSpec("baseline", context=BASELINE),
-    "rag_best_avg_worst": TechniqueSpec("RAG-best-worst", context=BEST_AVERAGE_WORST),
-    "rag_most_similar": TechniqueSpec("RAG-{k}-best", context=MOST_SIMILAR),
-    "rag_range": TechniqueSpec("RAG-{n5}-grade", context=RANGE_OF_EXAMPLES),
-    "few_all_grades": TechniqueSpec("Few-all-grades", calibration_groups=(((1, 2), ALL_GRADE_LEVELS),)),
-    "few_best_worst": TechniqueSpec("Few-best-worst", calibration_groups=(((1, 2), BEST_WORST_LEVELS),)),
-    "few_mixed": TechniqueSpec(
+    @property
+    def needs_index(self) -> bool:
+        return self.zero_shot and self.strategy.variant in (MOST_SIMILAR, RANGE_OF_EXAMPLES)
+
+
+TECHNIQUES: dict[str, TechniquePlan] = {
+    "baseline": TechniquePlan("baseline", ContextStrategy(BASELINE)),
+    "rag_best_avg_worst": TechniquePlan("RAG-best-worst", ContextStrategy(BEST_AVERAGE_WORST)),
+    "rag_most_similar": TechniquePlan("RAG-{k}-best", ContextStrategy(MOST_SIMILAR)),
+    "rag_range": TechniquePlan("RAG-{n5}-grade", ContextStrategy(RANGE_OF_EXAMPLES)),
+    "few_all_grades": TechniquePlan("Few-all-grades", calibration_groups=(((1, 2), ALL_GRADE_LEVELS),)),
+    "few_best_worst": TechniquePlan("Few-best-worst", calibration_groups=(((1, 2), BEST_WORST_LEVELS),)),
+    "few_mixed": TechniquePlan(
         "Few-mixed", calibration_groups=(((1,), BEST_WORST_LEVELS), ((2,), ALL_GRADE_LEVELS))
     ),
-    "cot_best_worst": TechniqueSpec(
+    "cot_best_worst": TechniquePlan(
         "CoT-best-worst", calibration_groups=(((1, 2), BEST_WORST_LEVELS),), cot=True
     ),
 }
@@ -109,10 +118,7 @@ class ExperimentConfig:
     k: int = _key("technique.k", "1", "reference count per task for rag_most_similar", minimum=1)
     n: int = _key("technique.n", "1", "per-grade coverage for rag_range", minimum=1)
     ordering: str = _key(
-        "ordering",
-        ORDERING_BASE,
-        f"calibration grade order, one of {', '.join(ORDERING_SCHEMES)}",
-        choices=ORDERING_SCHEMES,
+        "ordering", "base", f"calibration grade order, one of {', '.join(ORDERINGS)}", choices=tuple(ORDERINGS)
     )
     client_kind: str = _key("client.kind", "mock", "http or mock", choices=("http", "mock"))
     client_base_url: str = _key("client.base_url", "http://localhost:11434", "chat endpoint base URL (http client)")
@@ -216,6 +222,11 @@ def format_defaults() -> str:
     return "\n".join(lines).rstrip() + "\n"
 
 
-def technique_label(cfg: ExperimentConfig) -> str:
-    """Report row label for a technique configuration."""
-    return TECHNIQUES[cfg.technique].label.format(k=cfg.k, n5=5 * cfg.n)
+def technique_plan(cfg: ExperimentConfig) -> TechniquePlan:
+    """The ``TECHNIQUES`` row of ``cfg.technique``, with the configured k, n
+    and noise in its strategy and its label formatted."""
+    plan = TECHNIQUES[cfg.technique]
+    strategy = plan.strategy
+    if strategy is not None:
+        strategy = replace(strategy, k=cfg.k, n=cfg.n, noise_count=cfg.noise_count, noise_seed=cfg.noise_seed)
+    return replace(plan, label=plan.label.format(k=cfg.k, n5=5 * cfg.n), strategy=strategy)

@@ -81,7 +81,6 @@ def normalize_text(raw: str) -> str:
 class TaskText:
     text_type: str
     body: str
-    word_count: int
 
 
 @dataclass(frozen=True)
@@ -209,7 +208,7 @@ def parse_record(data: dict) -> ExamRecord:
             raise ValueError(f"tasks[{i}] must be an object")
         text_type = _require(task, "text_type", str, f"tasks[{i}].")
         body = normalize_text(_require(task, "body", str, f"tasks[{i}]."))
-        tasks.append(TaskText(text_type=text_type, body=body, word_count=len(body.split())))
+        tasks.append(TaskText(text_type=text_type, body=body))
     gold_raw = _require(data, "gold", dict, "")
     final = gold_raw.get("final")
     if final is None:
@@ -297,6 +296,10 @@ def load_corpus(path: str | Path, trust_stored_grades: bool = False, half: str =
     return Corpus(records=tuple(records), errors=tuple(errors))
 
 
+class RubricError(KeyError):
+    """A rubric lookup for a text type, dimension or grade the set lacks."""
+
+
 @dataclass(frozen=True)
 class RubricSet:
     """Grade descriptors per text type: type -> dimension -> grade (1..4) -> text.
@@ -309,14 +312,14 @@ class RubricSet:
 
     def summary(self, text_type: str) -> str:
         if text_type not in self.summaries:
-            raise KeyError(f"no rubric for text type {text_type!r}")
+            raise RubricError(f"no rubric for text type {text_type!r}")
         return self.summaries[text_type]
 
     def descriptor(self, text_type: str, dimension: str, grade: int) -> str:
         try:
             return self.descriptors[text_type][dimension][grade]
         except KeyError:
-            raise KeyError(f"no rubric descriptor for ({text_type!r}, {dimension!r}, grade {grade})") from None
+            raise RubricError(f"no rubric descriptor for ({text_type!r}, {dimension!r}, grade {grade})") from None
 
     def covers(self, text_type: str) -> bool:
         return text_type in self.descriptors and all(

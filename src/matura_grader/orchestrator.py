@@ -31,31 +31,22 @@ from .retrieval import ContextSelection
 
 logger = logging.getLogger(__name__)
 
-# Presentation order of calibration grade levels.
-ORDERING_BASE = "base"
-ORDERING_INVERTED = "inverted"
-ORDERING_MIXED_15243 = "mixed15243"
-ORDERING_MIXED_153 = "mixed153"
-
-_MIXED_SEQUENCES = {
-    ORDERING_MIXED_15243: (1, 5, 2, 4, 3),
-    ORDERING_MIXED_153: (1, 5, 3),
+# Presentation order of calibration grade levels, per scheme.
+ORDERINGS: dict[str, tuple[int, ...]] = {
+    "base": VALID_GRADES,
+    "inverted": VALID_GRADES[::-1],
+    "mixed15243": (1, 5, 2, 4, 3),
+    "mixed153": (1, 5, 3),
 }
-
-ORDERING_SCHEMES = (ORDERING_BASE, ORDERING_INVERTED, ORDERING_MIXED_15243, ORDERING_MIXED_153)
 
 CHARS_PER_TOKEN = 4
 
 
 def ordering_sequence(scheme: str, levels: set[int]) -> tuple[int, ...]:
     """The grade sequence a scheme prescribes for the available levels."""
-    if scheme == ORDERING_BASE:
-        return tuple(sorted(levels))
-    if scheme == ORDERING_INVERTED:
-        return tuple(sorted(levels, reverse=True))
-    if scheme in _MIXED_SEQUENCES:
-        return tuple(g for g in _MIXED_SEQUENCES[scheme] if g in levels)
-    raise ValueError(f"unknown ordering scheme {scheme!r}")
+    if scheme not in ORDERINGS:
+        raise ValueError(f"unknown ordering scheme {scheme!r}")
+    return tuple(grade for grade in ORDERINGS[scheme] if grade in levels)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from pathlib import Path
 
-from .corpus import ExamRecord, RubricSet
+from .corpus import ExamRecord, RubricError, RubricSet  # noqa: F401 -- re-exports RubricError, which a missing rubric raises
 from .grading import DIMENSIONS, RUBRIC_GRADES
 from .retrieval import ContextEntry, ContextSelection
 
@@ -23,10 +23,6 @@ GERMAN_DIMENSION_LABELS = {
     "language_norms": "Sprachrichtigkeit",
     "style_expression": "Stil/Ausdruck",
 }
-
-
-class RubricError(KeyError):
-    pass
 
 
 @lru_cache(maxsize=None)
@@ -48,19 +44,12 @@ def grades_line(grades: dict[str, int], final_grade: int | None = None) -> str:
 
 
 def _rubric_section(rubric: RubricSet, text_type: str) -> str:
-    try:
-        summary = rubric.summary(text_type)
-    except KeyError:
-        raise RubricError(f"missing rubric for text type {text_type!r}") from None
+    summary = rubric.summary(text_type)
     blocks = []
     for dim in DIMENSIONS:
         lines = [f"-- {GERMAN_DIMENSION_LABELS[dim]} ({dim}) --"]
         for grade in RUBRIC_GRADES:
-            try:
-                descriptor = rubric.descriptor(text_type, dim, grade)
-            except KeyError:
-                raise RubricError(f"missing rubric descriptor for ({text_type!r}, {dim!r})") from None
-            lines.append(f"Note {grade}: {descriptor}")
+            lines.append(f"Note {grade}: {rubric.descriptor(text_type, dim, grade)}")
         blocks.append("\n".join(lines))
     return template("rubric_section").format(
         text_type=text_type, summary=summary, dimension_blocks="\n\n".join(blocks)

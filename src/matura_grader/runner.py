@@ -13,15 +13,17 @@ import json
 import logging
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from collections.abc import Callable, Iterator
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack, closing
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
 from .clients import ChatClient, HttpChatClient, MockChatClient, parse_policy
-from .config import TECHNIQUES, ConfigError, ExperimentConfig, config_hash, technique_label
+from .config import ConfigError, ExperimentConfig, TechniquePlan, config_hash, technique_plan
 from .corpus import Corpus, ExamRecord, RubricSet, load_corpus, load_rubrics
 from .grading import TASKS, VALID_GRADES, aggregate
 from .metrics import EvaluationReport, build_report
@@ -36,10 +38,7 @@ from .orchestrator import (
 )
 from .reporting import emit_report
 from .retrieval import (
-    MOST_SIMILAR,
-    RANGE_OF_EXAMPLES,
     ContextSelection,
-    ContextStrategy,
     FallbackEmbedder,
     RemoteEmbedder,
     TaskTextIndex,
@@ -48,34 +47,6 @@ from .retrieval import (
 )
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class TechniquePlan:
-    """How one technique maps onto context building and scripting."""
-
-    label: str
-    strategy: ContextStrategy | None = None  # zero-shot context; None for few-shot
-    calibration_groups: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()  # (positions, levels)
-    cot: bool = False
-
-    @property
-    def zero_shot(self) -> bool:
-        return self.strategy is not None
-
-    @property
-    def needs_index(self) -> bool:
-        return self.zero_shot and self.strategy.variant in (MOST_SIMILAR, RANGE_OF_EXAMPLES)
-
-
-def technique_plan(cfg: ExperimentConfig) -> TechniquePlan:
-    spec = TECHNIQUES[cfg.technique]
-    strategy = None
-    if spec.context is not None:
-        strategy = ContextStrategy(
-            spec.context, k=cfg.k, n=cfg.n, noise_count=cfg.noise_count, noise_seed=cfg.noise_seed
-        )
-    return TechniquePlan(technique_label(cfg), strategy, spec.calibration_groups, spec.cot)
 
 
 def make_embedder(cfg: ExperimentConfig):
@@ -237,7 +208,8 @@ def run_experiment(cfg: ExperimentConfig, client: ChatClient | None = None, embe
     what ``build_report`` reads is kept. The prediction lines go to
     ``predictions.jsonl.partial``, which becomes ``predictions.jsonl`` when
     the run completes. With ``runner.parallelism = 1`` candidates are graded
-    in the calling thread, one at a time.
+    in the calling thread, one at a time; above it, a pool grades at most
+    ``2 * runner.parallelism`` candidates ahead of the writer.
     """
     corpus, rubrics, manifest, plan, index = load_run_inputs(cfg, embedder)
     if client is None:
@@ -263,7 +235,7 @@ def run_experiment(cfg: ExperimentConfig, client: ChatClient | None = None, embe
             graded = (grade_one(candidate) for candidate in candidates)
         else:
             pool = stack.enter_context(ThreadPoolExecutor(max_workers=cfg.parallelism))
-            graded = pool.map(grade_one, candidates)
+            graded = _graded_ahead(pool, grade_one, candidates, 2 * cfg.parallelism)
         # Closed first on the way out, which cancels the candidates not yet started.
         stack.enter_context(closing(graded))
         predictions = None
@@ -277,6 +249,28 @@ def run_experiment(cfg: ExperimentConfig, client: ChatClient | None = None, embe
     report = build_report(plan.label, outcomes, corpus)
     _write_artifacts(cfg, report, client, started)
     return report
+
+
+def _graded_ahead(
+    pool: ThreadPoolExecutor,
+    grade_one: Callable[[ExamRecord], GradeOutcome],
+    candidates: list[ExamRecord],
+    window: int,
+) -> Iterator[GradeOutcome]:
+    """The outcome of each candidate in order, graded in ``pool`` with at
+    most ``window`` submitted and not yet consumed. Closing the generator
+    cancels the candidates not yet started."""
+    pending: deque[Future] = deque()
+    try:
+        for candidate in candidates:
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(grade_one, candidate))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 _PARTIAL_PREDICTIONS = "predictions.jsonl.partial"

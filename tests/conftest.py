@@ -46,8 +46,8 @@ def make_record(
         year=year,
         pack=pack,
         tasks=(
-            TaskText("Literary Interpretation", body1, len(body1.split())),
-            TaskText("Letter to the Editor", body2, len(body2.split())),
+            TaskText("Literary Interpretation", body1),
+            TaskText("Letter to the Editor", body2),
         ),
         gold=gold,
     )

@@ -12,9 +12,9 @@ from matura_grader.config import (
     format_defaults,
     load_config,
     parse_config_text,
-    technique_label,
 )
-from matura_grader.orchestrator import ORDERING_SCHEMES
+from matura_grader.orchestrator import ORDERINGS
+from matura_grader.retrieval import ContextStrategy
 from matura_grader.runner import technique_plan
 
 
@@ -98,7 +98,19 @@ def test_load_config_file(tmp_path):
     ],
 )
 def test_technique_labels_mirror_row_names(values, label):
-    assert technique_label(config_from_values(values)) == label
+    assert technique_plan(config_from_values(values)).label == label
+
+
+@pytest.mark.parametrize("technique", list(TECHNIQUES))
+def test_technique_plan_passes_the_configured_values_to_the_strategy(technique):
+    values = {"technique": technique, "technique.k": "4", "technique.n": "3", "noise.count": "2", "noise.seed": "9"}
+    plan = technique_plan(config_from_values(values))
+    row = TECHNIQUES[technique]
+    assert (plan.calibration_groups, plan.cot) == (row.calibration_groups, row.cot)
+    if row.strategy is None:
+        assert plan.strategy is None
+    else:
+        assert plan.strategy == ContextStrategy(row.strategy.variant, k=4, n=3, noise_count=2, noise_seed=9)
 
 
 @pytest.mark.parametrize(
@@ -139,7 +151,7 @@ def test_checks_name_the_key(values, message):
 
 
 def test_orderings_are_the_orchestrator_schemes():
-    for scheme in ORDERING_SCHEMES:
+    for scheme in ORDERINGS:
         assert config_from_values({"ordering": scheme}).ordering == scheme
 
 

@@ -13,6 +13,7 @@ from matura_grader.clients import MockChatClient, ScriptedChatClient, assessment
 from matura_grader.corpus import RubricSet
 from matura_grader.grading import DIMENSIONS, FAIL, HALF_TO_BETTER, HALF_TO_WORSE, TASKS, VALID_GRADES, aggregate
 from matura_grader.orchestrator import (
+    ORDERINGS,
     AwaitModelGuess,
     _first_json_object,
     CalibrationItem,
@@ -191,6 +192,30 @@ def test_ordering_sequences():
     assert ordering_sequence("mixed15243", {1, 3, 5}) == (1, 5, 3)
     with pytest.raises(ValueError):
         ordering_sequence("zufällig", {1, 2})
+
+
+def _ordering_sequence_oracle(scheme, levels):
+    """The scheme-by-scheme branches that ``ORDERINGS`` replaced."""
+    if scheme == "base":
+        return tuple(sorted(levels))
+    if scheme == "inverted":
+        return tuple(sorted(levels, reverse=True))
+    mixed = {"mixed15243": (1, 5, 2, 4, 3), "mixed153": (1, 5, 3)}
+    if scheme in mixed:
+        return tuple(g for g in mixed[scheme] if g in levels)
+    raise ValueError(f"unknown ordering scheme {scheme!r}")
+
+
+_LEVEL_SUBSETS = [
+    {grade for bit, grade in enumerate(VALID_GRADES) if mask >> bit & 1} for mask in range(1, 2 ** len(VALID_GRADES))
+]
+
+
+@pytest.mark.parametrize("scheme", list(ORDERINGS))
+def test_ordering_sequence_matches_the_branch_oracle_on_every_level_subset(scheme):
+    assert len(_LEVEL_SUBSETS) == 31
+    for levels in _LEVEL_SUBSETS:
+        assert ordering_sequence(scheme, levels) == _ordering_sequence_oracle(scheme, levels)
 
 
 def test_few_shot_base_order_and_turn_protocol(rubric, small_corpus):

@@ -150,6 +150,21 @@ def test_serial_run_grades_inline_and_writes_each_transcript_before_the_next_cal
         assert on_disk == ids[:k]
 
 
+def test_parallel_run_grades_at_most_twice_parallelism_ahead_of_the_writer(synthetic_dirs_25, corpus_25, tmp_path):
+    exam_dir, rubric_dir = synthetic_dirs_25
+    out = tmp_path / "out"
+    parallelism = 4
+    client = _WatchingClient(corpus_25, out / "transcripts")
+    cfg = _cfg(exam_dir, rubric_dir, out, technique="few_best_worst", **{"runner.parallelism": parallelism})
+    run_experiment(cfg, client=client)
+    ids = sorted(r.id for r in corpus_25.records)
+    assert sorted(client.first_calls) == ids
+    for k, exam_id in enumerate(ids):
+        _, on_disk = client.first_calls[exam_id]
+        assert len(on_disk) >= k - 2 * parallelism
+        assert on_disk == ids[: len(on_disk)]
+
+
 def test_build_report_receives_outcomes_without_transcripts(synthetic_dirs_25, tmp_path, monkeypatch):
     exam_dir, rubric_dir = synthetic_dirs_25
     received = []

@@ -180,6 +180,8 @@ def _record_to_dict(r: ExamRecord) -> dict:
 
 
 def _require(data: dict, key: str, kind: type, where: str) -> object:
+    if not isinstance(data, dict):
+        raise ValueError(f"{where.rstrip('.') or 'top level'} must be an object, got {type(data).__name__}")
     if key not in data:
         raise ValueError(f"missing field {where}{key}")
     value = data[key]
@@ -204,8 +206,6 @@ def parse_record(data: dict) -> ExamRecord:
         raise ValueError(f"expected exactly 2 tasks, got {len(tasks_raw)}")
     tasks = []
     for i, task in enumerate(tasks_raw, start=1):
-        if not isinstance(task, dict):
-            raise ValueError(f"tasks[{i}] must be an object")
         text_type = _require(task, "text_type", str, f"tasks[{i}].")
         body = normalize_text(_require(task, "body", str, f"tasks[{i}]."))
         tasks.append(TaskText(text_type=text_type, body=body))
@@ -335,22 +335,31 @@ def load_rubrics(path: str | Path) -> RubricSet:
     summaries: dict[str, str] = {}
     descriptors: dict[str, dict[str, dict[int, str]]] = {}
     for file in sorted(directory.glob("*.json")):
-        data = json.loads(file.read_text(encoding="utf-8"))
-        text_type = _require(data, "text_type", str, "")
-        if text_type not in TEXT_TYPES:
-            raise ValueError(f"{file.name}: unknown text_type {text_type!r}")
-        summaries[text_type] = _require(data, "summary", str, "")
-        dims_raw = _require(data, "dimensions", dict, "")
-        dims: dict[str, dict[int, str]] = {}
-        for dim in DIMENSIONS:
-            if dim not in dims_raw:
-                raise ValueError(f"{file.name}: missing rubric dimension {dim!r}")
-            table = {}
-            for grade in RUBRIC_GRADES:
-                key = str(grade)
-                if key not in dims_raw[dim]:
-                    raise ValueError(f"{file.name}: missing descriptor for ({text_type}, {dim}, grade {grade})")
-                table[grade] = dims_raw[dim][key]
-            dims[dim] = table
+        try:  # malformed JSON raises json.JSONDecodeError, a ValueError
+            text_type, summary, dims = _parse_rubric(json.loads(file.read_text(encoding="utf-8")))
+        except ValueError as exc:
+            raise ValueError(f"{file.name}: {exc}") from None
+        summaries[text_type] = summary
         descriptors[text_type] = dims
     return RubricSet(summaries=summaries, descriptors=descriptors)
+
+
+def _parse_rubric(data: dict) -> tuple[str, str, dict[str, dict[int, str]]]:
+    """Text type, summary and descriptor table of one rubric JSON document.
+    Raises ValueError."""
+    text_type = _require(data, "text_type", str, "")
+    if text_type not in TEXT_TYPES:
+        raise ValueError(f"unknown text_type {text_type!r}")
+    summary = _require(data, "summary", str, "")
+    dims_raw = _require(data, "dimensions", dict, "")
+    dims: dict[str, dict[int, str]] = {}
+    for dim in DIMENSIONS:
+        descriptors = _require(dims_raw, dim, dict, "dimensions.")
+        table = {}
+        for grade in RUBRIC_GRADES:
+            key = str(grade)
+            if key not in descriptors:
+                raise ValueError(f"missing descriptor for ({text_type}, {dim}, grade {grade})")
+            table[grade] = descriptors[key]
+        dims[dim] = table
+    return text_type, summary, dims

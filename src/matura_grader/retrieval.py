@@ -6,18 +6,22 @@ most similar texts by embedding cosine, and descending-similarity selection
 until every final grade is covered n times. Noise documents of random German
 words can be appended to any selection.
 
-The index is an exact full scan of the candidate's pool, with each
-vector's norm computed once at build, on one of two paths:
+The index is an exact full scan, with each vector's norm computed once at
+build. A query is leave-one-out: the candidate is a member of its own
+(year, pack, task position) pool, and its stored vector is ranked against
+the pool's other texts. Nothing is embedded at query time. The pool alone
+picks one of two paths:
 
-- the integer path, taken when the pool's vectors and the query are count
-  vectors: floats that are non-negative whole numbers, of one length, with
-  squared norms below 2**53, as the fallback embedder's bucket counts are.
-  Each dimension of the pool is packed into one big integer at build, so a
-  query is one multiply-add per dimension for the whole pool. Such a pool
-  keeps its vectors only as integers;
-- the float path, for anything else (remote float embeddings, a fractional
-  query): one C-level dot product per pair, read from an integer pool's
-  integers where the pool has them.
+- the integer path, for a pool of count vectors: floats that are
+  non-negative whole numbers, of one length, with squared norms below
+  2**53, as the fallback embedder's bucket counts are. Each dimension of the
+  pool is packed into one big integer at build, so a query is one
+  multiply-add per dimension for the whole pool. Such a pool keeps its
+  vectors only as integers;
+- the float path, for any other pool (remote float embeddings, a zero
+  vector, mixed lengths): one C-level dot product per pair over the pool's
+  float vectors. Since the query is a member, an integer pool's query is a
+  count vector too, so the float path never has to read integers.
 
 Both are bit-identical to ``cosine_similarity``. The float path performs its
 products and left-to-right sum. On the integer path every product and
@@ -224,30 +228,13 @@ class _Pool:
         )
         return cls(records, ids, (), norms, counts, columns, slot)
 
-    def vector(self, member: int) -> tuple:
-        """Pool vector ``member``: integers in an integer pool, else floats.
-        A float times an integer below 2**53 is the float product with the
-        equal float, so the float path gives the same similarities from
-        either."""
+    def dots(self, member: int) -> tuple[int, ...]:
+        """The exact dot product of vector ``member`` of an integer pool with
+        every vector, in pool order: one big-integer multiply-add per
+        dimension. By Cauchy-Schwarz a dot product is at most the larger of
+        the two squared norms, so no slot carries into the next."""
         dim = len(self.columns)
-        return self.counts[member * dim : (member + 1) * dim] if dim else self.vectors[member]
-
-    def fit(self, values, squared_norm) -> tuple[int, ...] | None:
-        """A non-member query as integers when it can take the integer
-        path: the pool has columns, and the query is a count vector of the
-        pool's length whose squared norm fits a slot. By Cauchy-Schwarz a
-        dot product is at most the larger of the two squared norms, so then
-        no slot carries into the next."""
-        if not (self.columns and len(values) == len(self.columns) and _exact_square(squared_norm)):
-            return None
-        if int(squared_norm).bit_length() > 8 * self.slot or not _whole_numbers(values):
-            return None
-        return tuple(map(int, values))
-
-    def dots(self, counts) -> tuple[int, ...]:
-        """The exact dot product of ``counts`` with every vector, in pool
-        order: one big-integer multiply-add per dimension."""
-        total = sum(map(mul, counts, self.columns))
+        total = sum(map(mul, self.counts[member * dim : (member + 1) * dim], self.columns))
         packed = total.to_bytes(len(self.ids) * self.slot, "little")
         return struct.unpack(f"<{len(self.ids)}Q", _restride(packed, len(self.ids), self.slot, _WORD_BYTES))
 
@@ -257,34 +244,35 @@ _EMPTY_POOL = _Pool((), (), (), ())
 
 class TaskTextIndex:
     """Immutable similarity index over task texts, one pool per
-    (year, pack, task position). Queries are exact full scans; a query with
-    a limit ranks only the top of the scan (``heapq.nsmallest``).
+    (year, pack, task position). A query is leave-one-out: the candidate is
+    a member of its own pool, found by id, and its vector, stored at build,
+    is ranked against the pool's other texts; nothing is embedded at query
+    time. Queries are exact full scans; a query with a limit ranks only the
+    top of the scan (``heapq.nsmallest``).
 
     Each vector's norm is computed once at build with the products and sum
-    ``cosine_similarity`` uses. A query takes one of two paths, and both
-    give every similarity, and with it every ranking and tie, bit-identical
-    to the scalar oracle:
+    ``cosine_similarity`` uses. The pool alone picks one of two paths, and
+    both give every similarity, and with it every ranking and tie,
+    bit-identical to the scalar oracle:
 
-    - Integer path, for count vectors: every pool vector and the query hold
-      floats that are non-negative whole numbers, share one length and have
-      squared norms in (0, 2**53), as the fallback embedder's bucket counts
-      do. One big-integer multiply-add per dimension over the packed
-      columns (``_Pool``) yields the query's dot product with every pool
-      vector at once. Every product and partial sum of such a dot product is an
+    - Integer path, for a pool of count vectors: floats that are
+      non-negative whole numbers, of one length, with squared norms in
+      (0, 2**53), as the fallback embedder's bucket counts are. One
+      big-integer multiply-add per dimension over the packed columns
+      (``_Pool``) yields the member's dot product with every pool vector at
+      once. Every product and partial sum of such a dot product is an
       integer below 2**53, which a float holds exactly, so the integer
       equals the float sum ``cosine_similarity`` computes.
-    - Float path, for everything else (remote float embeddings, a query
-      with a fractional value or too large a norm, a zero vector, mixed
-      lengths): one ``sum(map(mul, ...))`` per pair, the products and
-      left-to-right sum of ``cosine_similarity``, with its errors. Against
-      an integer pool it multiplies the float query by the pool's integers,
-      each below 2**53 and so equal to its float.
+    - Float path, for any other pool (remote float embeddings, a zero
+      vector, mixed lengths): one ``sum(map(mul, ...))`` per pair over the
+      pool's float vectors, the products and left-to-right sum of
+      ``cosine_similarity``, with its errors. The query is one of those
+      vectors, so the float path never meets an integer pool.
 
     The scan stays in pure Python on purpose: importing numpy adds about
     13 MiB of resident memory, some 30% of a 300-exam mock run's peak."""
 
-    def __init__(self, embedder, pools: dict[tuple[int, str, int], _Pool]):
-        self._embedder = embedder
+    def __init__(self, pools: dict[tuple[int, str, int], _Pool]):
         self._pools = pools
 
     @classmethod
@@ -295,37 +283,33 @@ class TaskTextIndex:
             for position in (1, 2):
                 vectors = tuple(embedder.embed(record.task(position).body) for record in records)
                 pools[(year, pack, position)] = _Pool.pack(records, vectors)
-        return cls(embedder, pools)
+        return cls(pools)
 
     def pool_size(self, year: int, pack: str, position: int) -> int:
         return len(self._pools.get((year, pack, position), _EMPTY_POOL).ids)
 
-    def query(
-        self, year: int, pack: str, position: int, candidate: ExamRecord, limit: int | None = None
-    ) -> list[tuple[ExamRecord, float]]:
-        """Pool texts ranked by similarity to the candidate's task text,
-        candidate excluded; ties broken by id. With ``limit``, only the
-        first ``limit`` of that ranking, the same rows in the same order."""
-        pool = self._pools.get((year, pack, position), _EMPTY_POOL)
+    def query(self, candidate: ExamRecord, position: int, limit: int | None = None) -> list[tuple[ExamRecord, float]]:
+        """The other texts of the candidate's (year, pack, ``position``)
+        pool, ranked by similarity to the candidate's text there; ties
+        broken by id. With ``limit``, only the first ``limit`` of that
+        ranking, the same rows in the same order. A candidate whose id is
+        not in that pool raises ``KeyError``."""
+        key = (candidate.year, candidate.pack, position)
+        pool = self._pools.get(key, _EMPTY_POOL)
         try:
             member = pool.ids.index(candidate.id)
         except ValueError:
-            query_values = self._embedder.embed(candidate.task(position).body)
-            squared_norm = _squared_norm(query_values)
-            query_norm = math.sqrt(squared_norm)
-            query_counts = pool.fit(query_values, squared_norm)
-        else:
-            query_values, query_norm = pool.vector(member), pool.norms[member]
-            query_counts = query_values if pool.columns else None
-        if query_counts is not None:
-            similarities = map(truediv, pool.dots(query_counts), map(mul, repeat(query_norm), pool.norms))
+            raise KeyError(f"exam {candidate.id!r} is not in the index pool {key}") from None
+        query_norm = pool.norms[member]
+        if pool.columns:
+            similarities = map(truediv, pool.dots(member), map(mul, repeat(query_norm), pool.norms))
             rows = zip(map(neg, similarities), pool.ids, pool.records)
         else:
+            query_values = pool.vectors[member]
             rows = []
-            for number, (record, norm) in enumerate(zip(pool.records, pool.norms)):
+            for record, values, norm in zip(pool.records, pool.vectors, pool.norms):
                 if record.id == candidate.id:
                     continue
-                values = pool.vector(number)
                 if len(query_values) != len(values):
                     raise ValueError(f"vector length mismatch: {len(query_values)} vs {len(values)}")
                 if query_norm == 0.0 or norm == 0.0:
@@ -476,7 +460,7 @@ def select_most_similar(
     entries: list[ContextEntry] = []
     warnings: list[str] = []
     for position in positions:
-        ranked = index.query(candidate.year, candidate.pack, position, candidate, limit=k)
+        ranked = index.query(candidate, position, limit=k)
         if len(ranked) < k:
             warnings.append(f"task {position}: pool has only {len(ranked)} texts, requested {k}")
         entries.extend(_entry_for(record, position, similarity) for record, similarity in ranked)
@@ -495,7 +479,7 @@ def select_range_of_examples(
     coverage: dict[int, dict[int, int]] = {}
     for position in positions:
         counts = dict.fromkeys(VALID_GRADES, 0)
-        for record, similarity in index.query(candidate.year, candidate.pack, position, candidate):
+        for record, similarity in index.query(candidate, position):
             grade = record.gold.final_as_grade()
             if counts[grade] >= n:
                 continue

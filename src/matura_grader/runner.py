@@ -74,7 +74,10 @@ def load_exemplar_manifest(path: str) -> dict[tuple[int, str], dict[int, str]]:
     Raises ConfigError naming the file and the key on a malformed manifest."""
     if not path:
         return {}
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: exemplar manifest is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: exemplar manifest must be a JSON object, got {type(data).__name__}")
     manifest: dict[tuple[int, str], dict[int, str]] = {}

@@ -215,6 +215,28 @@ def test_load_corpus_reports_malformed_json(tmp_path, synthetic_dirs_30):
     assert "zz-broken.json" == corpus.errors[0].file
 
 
+@pytest.mark.parametrize(
+    "document,reason",
+    [
+        ("5", "top level must be an object, got int"),
+        ("null", "top level must be an object, got NoneType"),
+        ('"id"', "top level must be an object, got str"),
+        ('{"id": "x", "year": 2023, "pack": "p", "tasks": ["a", "b"]}', "tasks[1] must be an object, got str"),
+    ],
+    ids=["number", "null", "string", "string_task"],
+)
+def test_load_corpus_reports_a_non_object_where_an_object_belongs(document, reason, tmp_path, synthetic_dirs_30):
+    exam_dir, _ = synthetic_dirs_30
+    target = tmp_path / "mixed"
+    target.mkdir()
+    good = sorted(exam_dir.glob("*.json"))[0]
+    shutil.copy(good, target / good.name)
+    (target / "zz-odd.json").write_text(document, encoding="utf-8")
+    corpus = load_corpus(target)
+    assert len(corpus) == 1
+    assert [(error.file, error.reason) for error in corpus.errors] == [("zz-odd.json", reason)]
+
+
 def test_load_corpus_rejects_duplicate_ids(tmp_path, synthetic_dirs_30):
     exam_dir, _ = synthetic_dirs_30
     target = tmp_path / "dups"
@@ -316,6 +338,31 @@ def test_rubrics_missing_descriptor_is_an_error(tmp_path, synthetic_dirs_30):
     (target / source.name).write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(ValueError, match="missing descriptor"):
         load_rubrics(target)
+
+
+@pytest.mark.parametrize(
+    "edit,reason",
+    [
+        (lambda data: "{not json", "Expecting property name enclosed in double quotes"),
+        (lambda data: "5", "top level must be an object, got int"),
+        (lambda data: json.dumps({k: v for k, v in data.items() if k != "text_type"}), "missing field text_type"),
+        (
+            lambda data: json.dumps({**data, "dimensions": {**data["dimensions"], "content": "Note 1 gut"}}),
+            "field dimensions.content must be dict, got str",
+        ),
+        (lambda data: json.dumps({**data, "text_type": "Novelle"}), "unknown text_type 'Novelle'"),
+    ],
+    ids=["malformed_json", "number", "missing_text_type", "string_dimension", "unknown_text_type"],
+)
+def test_rubric_errors_name_the_file(edit, reason, tmp_path, synthetic_dirs_30):
+    _, rubric_dir = synthetic_dirs_30
+    target = tmp_path / "rubrics"
+    target.mkdir()
+    source = sorted(rubric_dir.glob("*.json"))[0]
+    (target / source.name).write_text(edit(json.loads(source.read_text(encoding="utf-8"))), encoding="utf-8")
+    with pytest.raises(ValueError) as raised:
+        load_rubrics(target)
+    assert str(raised.value).startswith(f"{source.name}: {reason}"), str(raised.value)
 
 
 def _record_json(record) -> dict:

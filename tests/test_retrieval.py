@@ -259,7 +259,7 @@ def test_index_query_equals_full_scan_with_ties(corpus_60_with_ties):
     ties_seen = 0
     for candidate in corpus.records:
         for position in (1, 2):
-            ranked = index.query(candidate.year, candidate.pack, position, candidate)
+            ranked = index.query(candidate, position)
             got = [(record.id, similarity) for record, similarity in ranked]
             assert got == _full_scan(corpus, candidate, position)
             similarity = dict(got)
@@ -269,19 +269,37 @@ def test_index_query_equals_full_scan_with_ties(corpus_60_with_ties):
     assert ties_seen > 0
 
 
+class _RecordingEmbedder(FallbackEmbedder):
+    """The fallback embedder, remembering every text it embeds."""
+
+    def __init__(self):
+        super().__init__()
+        self.texts = []
+
+    def embed(self, text):
+        self.texts.append(text)
+        return super().embed(text)
+
+
 def test_index_query_non_member_candidate(corpus_60_with_ties):
+    """A query ranks the candidate's own pool: a record whose id is not in
+    that pool is a KeyError naming both, and nothing is embedded for it."""
     corpus = corpus_60_with_ties
-    index = TaskTextIndex.build(corpus, FallbackEmbedder())
+    embedder = _RecordingEmbedder()
+    index = TaskTextIndex.build(corpus, embedder)
+    embedded = len(embedder.texts)
     member = corpus.get("exam-010")
-    outsider = replace(
-        member,
-        id="outsider",
-        tasks=tuple(replace(task, body=make_body(f"outsider-{i}", 150)) for i, task in enumerate(member.tasks)),
-    )
-    for position in (1, 2):
-        got = [(r.id, sim) for r, sim in index.query(member.year, member.pack, position, outsider)]
-        assert got == _full_scan(corpus, outsider, position)
-        assert len(got) == index.pool_size(member.year, member.pack, position)
+    outsiders = [
+        replace(member, id="outsider"),
+        replace(member, pack="no-such-pack"),
+        replace(member, year=member.year + 1),
+    ]
+    for outsider in outsiders:
+        for position in (1, 2):
+            key = (outsider.year, outsider.pack, position)
+            with pytest.raises(KeyError, match=re.escape(f"exam {outsider.id!r} is not in the index pool {key}")):
+                index.query(outsider, position, limit=3)
+    assert len(embedder.texts) == embedded == 2 * len(corpus)
 
 
 class _TableEmbedder:
@@ -307,13 +325,13 @@ def test_index_query_errors_match_cosine_similarity():
     with pytest.raises(ValueError, match="zero-norm"):
         cosine_similarity(table["eins"], table["null"])
     with pytest.raises(ValueError, match="zero-norm"):
-        index.query(2023, "pack-a", 1, corpus.get("v-1"))
+        index.query(corpus.get("v-1"), 1)
     with pytest.raises(ValueError, match="zero-norm"):
-        index.query(2023, "pack-a", 1, corpus.get("v-2"))
+        index.query(corpus.get("v-2"), 1)
     with pytest.raises(ValueError, match="length mismatch: 2 vs 1"):
-        index.query(2023, "pack-a", 2, corpus.get("v-1"))
+        index.query(corpus.get("v-1"), 2)
     with pytest.raises(ValueError, match="length mismatch: 1 vs 2"):
-        index.query(2023, "pack-a", 2, corpus.get("v-2"))
+        index.query(corpus.get("v-2"), 2)
 
 
 def test_fallback_embedder_memo_keeps_vectors(corpus_60_with_ties):
@@ -696,14 +714,6 @@ def test_all_grades_context_equals_reference_oracle(oracle_corpus):
 # against the float oracle. Every comparison below is exact.
 
 
-def _outsider(member, body1, body2):
-    """A copy of ``member`` under another id with other task bodies."""
-    bodies = (body1, body2)
-    return replace(
-        member, id="outsider", tasks=tuple(replace(task, body=body) for task, body in zip(member.tasks, bodies))
-    )
-
-
 def _table_corpus(vectors):
     """One record per vector, both task bodies mapped to that vector."""
     table = {f"text-{i:02d}": tuple(vector) for i, vector in enumerate(vectors)}
@@ -723,8 +733,8 @@ def _table_scan(corpus, table, candidate, position):
     return scored
 
 
-def _ranking(index, candidate, position, year=2023, pack="pack-a"):
-    return [(record.id, similarity) for record, similarity in index.query(year, pack, position, candidate)]
+def _ranking(index, candidate, position):
+    return [(record.id, similarity) for record, similarity in index.query(candidate, position)]
 
 
 def _random_counts(seed, count, dim, high=4):
@@ -739,16 +749,7 @@ def test_integer_path_serves_every_fallback_query(corpus_60_with_ties):
     assert all(pool.vectors == () for pool in index._pools.values())  # no float copy
     for candidate in corpus.records:
         for position in (1, 2):
-            assert _ranking(index, candidate, position, candidate.year, candidate.pack) == _full_scan(
-                corpus, candidate, position
-            )
-    member = corpus.get("exam-010")
-    outsider = _outsider(member, make_body("outsider-a", 150), make_body("outsider-b", 150))
-    for position in (1, 2):
-        pool = index._pools[(member.year, member.pack, position)]
-        values = FallbackEmbedder().embed(outsider.task(position).body)
-        assert pool.fit(values, sum(x * x for x in values)) is not None
-        assert _ranking(index, outsider, position, member.year, member.pack) == _full_scan(corpus, outsider, position)
+            assert _ranking(index, candidate, position) == _full_scan(corpus, candidate, position)
 
 
 @pytest.mark.parametrize(
@@ -773,7 +774,7 @@ def test_pool_with_an_odd_vector_takes_the_float_path(odd_vector):
         with pytest.raises(ValueError) as want:
             cosine_similarity(table[candidate.task(1).body], first_mismatch)
         with pytest.raises(ValueError, match="length mismatch") as got:
-            index.query(2023, "pack-a", 1, candidate)
+            index.query(candidate, 1)
         assert str(got.value) == str(want.value)
 
 
@@ -803,62 +804,14 @@ def test_integer_path_with_counts_past_a_32_bit_slot():
         assert _ranking(index, candidate, 1) == _table_scan(corpus, table, candidate, 1)
 
 
-@pytest.mark.parametrize(
-    "query",
-    [(0.5, 1.0, 2.0, 0.0, 1.0, 0.0), (1.0, 1.0, 1.0, 0.0, 0.0, 3.0), (1000.0, 1.0, 0.0, 0.0, 2.0, 0.0)],
-    ids=["fractional", "count_vector", "norm_past_the_slot"],
-)
-def test_non_member_query_against_an_integer_pool(query):
-    vectors = _random_counts("small-counts", 20, 6, high=3)
-    vectors[3] = vectors[8]
-    corpus, table = _table_corpus(vectors)
-    table["query"] = query
-    index = TaskTextIndex.build(corpus, _TableEmbedder(table))
-    pool = index._pools[(2023, "pack-a", 1)]
-    assert pool.columns and pool.slot == 1 and pool.vectors == ()
-    counts = pool.fit(query, sum(x * x for x in query))
-    assert (counts is not None) == (query == (1.0, 1.0, 1.0, 0.0, 0.0, 3.0))
-    outsider = _outsider(corpus.records[0], "query", "query")
-    assert _ranking(index, outsider, 1) == _table_scan(make_corpus(corpus.records + (outsider,)), table, outsider, 1)
-
-
-@pytest.mark.parametrize(
-    "query", [(1.0, 2.0, 1.0), (1.0,) * 7, (0.5, 2.0, 1.0)], ids=["shorter", "longer", "fractional_shorter"]
-)
-def test_non_member_query_of_another_length_against_an_integer_pool(query):
-    corpus, table = _table_corpus(_random_counts("small-counts", 20, 6, high=3))
-    table["query"] = query
-    index = TaskTextIndex.build(corpus, _TableEmbedder(table))
-    assert index._pools[(2023, "pack-a", 1)].columns
-    with pytest.raises(ValueError) as want:
-        cosine_similarity(query, table[corpus.records[0].task(1).body])
-    with pytest.raises(ValueError, match="length mismatch") as got:
-        index.query(2023, "pack-a", 1, _outsider(corpus.records[0], "query", "query"))
-    assert str(got.value) == str(want.value)
-
-
-def test_zero_query_against_an_integer_pool_raises_the_oracle_error():
-    corpus, table = _table_corpus(_random_counts("small-counts", 20, 6, high=3))
-    table["query"] = (0.0,) * 6
-    index = TaskTextIndex.build(corpus, _TableEmbedder(table))
-    assert index._pools[(2023, "pack-a", 1)].vectors == ()
-    with pytest.raises(ValueError) as want:
-        cosine_similarity(table["query"], table[corpus.records[0].task(1).body])
-    with pytest.raises(ValueError, match="zero-norm") as got:
-        index.query(2023, "pack-a", 1, _outsider(corpus.records[0], "query", "query"))
-    assert str(got.value) == str(want.value)
-
-
 def test_concurrent_queries_equal_the_serial_sweep(corpus_60_with_ties):
     corpus = corpus_60_with_ties
     index = TaskTextIndex.build(corpus, FallbackEmbedder())
-    member = corpus.get("exam-010")
-    candidates = list(corpus.records) + [_outsider(member, make_body("sweep-a", 150), make_body("sweep-b", 150))]
-    jobs = [(candidate, position) for candidate in candidates for position in (1, 2)]
+    jobs = [(candidate, position) for candidate in corpus.records for position in (1, 2)]
 
     def sweep(job):
         candidate, position = job
-        return _ranking(index, candidate, position, candidate.year, candidate.pack)
+        return _ranking(index, candidate, position)
 
     serial = [sweep(job) for job in jobs]
     switch_interval = sys.getswitchinterval()
@@ -877,16 +830,15 @@ def test_concurrent_queries_equal_the_serial_sweep(corpus_60_with_ties):
 
 def _assert_limits_keep_the_head(index, candidate, position):
     year, pack = candidate.year, candidate.pack
-    full = index.query(year, pack, position, candidate)
+    full = index.query(candidate, position)
     for k in range(1, index.pool_size(year, pack, position) + 2):
-        assert index.query(year, pack, position, candidate, limit=k) == full[:k]
+        assert index.query(candidate, position, limit=k) == full[:k]
 
 
 def test_query_limit_keeps_the_head_of_the_full_ranking(corpus_60_with_ties):
     corpus = corpus_60_with_ties
     index = TaskTextIndex.build(corpus, FallbackEmbedder())
-    outsider = _outsider(corpus.get("exam-010"), make_body("limit-a", 150), make_body("limit-b", 150))
-    for candidate in corpus.records + (outsider,):
+    for candidate in corpus.records:
         for position in (1, 2):
             _assert_limits_keep_the_head(index, candidate, position)
 
@@ -895,10 +847,9 @@ def test_query_limit_on_a_float_path_pool():
     vectors = _random_counts("limit-float", 12, 4)
     vectors[5] = vectors[9]  # an exact tie
     corpus, table = _table_corpus(vectors + [(1.0, 0.5, 2.0, 0.0)])
-    table["query"] = (0.25, 1.0, 3.0, 1.0)
     index = TaskTextIndex.build(corpus, _TableEmbedder(table))
     assert index._pools[(2023, "pack-a", 1)].columns == ()
-    for candidate in corpus.records + (_outsider(corpus.records[0], "query", "query"),):
+    for candidate in corpus.records:
         _assert_limits_keep_the_head(index, candidate, 1)
 
 
@@ -906,9 +857,9 @@ def test_query_limit_raises_the_full_scan_errors():
     corpus, table = _table_corpus(_random_counts("limit-errors", 6, 4) + [(1.0, 2.0, 3.0)])
     index = TaskTextIndex.build(corpus, _TableEmbedder(table))
     with pytest.raises(ValueError) as want:
-        index.query(2023, "pack-a", 1, corpus.records[0])
+        index.query(corpus.records[0], 1)
     with pytest.raises(ValueError, match="length mismatch") as got:
-        index.query(2023, "pack-a", 1, corpus.records[0], limit=1)
+        index.query(corpus.records[0], 1, limit=1)
     assert str(got.value) == str(want.value)
 
 

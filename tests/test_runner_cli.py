@@ -473,7 +473,8 @@ def test_cli_context_output_is_pinned(technique, candidate, synthetic_dirs_25, t
 def _manifest_config(tmp_path, synthetic_dirs_25, manifest) -> tuple[Path, Path]:
     exam_dir, rubric_dir = synthetic_dirs_25
     manifest_path = tmp_path / "exemplars.json"
-    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    # A string is written as it is: the text of a manifest that is not JSON.
+    manifest_path.write_text(manifest if isinstance(manifest, str) else json.dumps(manifest), encoding="utf-8")
     config_file = tmp_path / "exp.conf"
     config_file.write_text(
         f"corpus.path = {exam_dir}\nrubric.path = {rubric_dir}\noutput.dir = {tmp_path / 'out'}\n"
@@ -494,6 +495,7 @@ def _manifest_config(tmp_path, synthetic_dirs_25, manifest) -> tuple[Path, Path]
         ({"2023/pack-a": {"9": "x"}}, "'9'"),
         ({"2023/pack-a": {"best": "x"}}, "'best'"),
         ({"2023/pack-a": {"1": 7}}, "'2023/pack-a'"),
+        ('{"2023/pack-a": {"1": "exam-001"}', "not valid JSON"),
     ],
 )
 def test_cli_context_rejects_malformed_exemplar_manifest(manifest, named, synthetic_dirs_25, tmp_path, capsys):

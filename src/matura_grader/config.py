@@ -140,7 +140,9 @@ class ExperimentConfig:
         "grading.round_half", "better", "rounding of exact .5 averages: better or worse", choices=("better", "worse")
     )
     parallelism: int = _key("runner.parallelism", "1", "concurrently graded candidates", minimum=1)
-    token_budget: int = _key("runner.token_budget", "100000", "approximate token budget per script (4 chars/token)")
+    token_budget: int = _key(
+        "runner.token_budget", "100000", "approximate token budget per script (4 chars/token)", minimum=1
+    )
     output_dir: str = _key("output.dir", "out", "directory for report artifacts and transcripts")
 
     def raw_items(self) -> list[tuple[str, str]]:
@@ -205,7 +207,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     file = Path(path)
     if not file.is_file():
         raise ConfigError(f"config file not found: {file}")
-    return config_from_values(parse_config_text(file.read_text(encoding="utf-8")))
+    try:
+        text = file.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{file}: config file is not UTF-8: {exc}") from None
+    return config_from_values(parse_config_text(text))
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

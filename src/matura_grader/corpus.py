@@ -274,7 +274,7 @@ def load_corpus(path: str | Path, trust_stored_grades: bool = False, half: str =
     for file in sorted(directory.glob("*.json")):
         try:
             data = json.loads(file.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             errors.append(CorpusError(file.name, f"unreadable JSON: {exc}"))
             continue
         try:

@@ -15,7 +15,8 @@ picks one of two paths:
 - the integer path, for a pool of count vectors: floats that are
   non-negative whole numbers, of one length, with squared norms below
   2**53, as the fallback embedder's bucket counts are. Each dimension of the
-  pool is packed into one big integer at build, so a query is one
+  pool is packed into one big integer at build, one slot per text of
+  struct's 1, 2, 4 or 8-byte unsigned width, so a query is one
   multiply-add per dimension for the whole pool. Such a pool keeps its
   vectors only as integers;
 - the float path, for any other pool (remote float embeddings, a zero
@@ -157,9 +158,9 @@ class RemoteEmbedder:
 # such integers are exact.
 _EXACT_BOUND = 2**53
 
-# Packed slots are staged through little-endian unsigned 64-bit words
-# (struct format "<Q") on their way to and from Python integers.
-_WORD_BYTES = 8
+# struct's unsigned formats by width in bytes, narrowest first. The widest
+# holds any squared norm below 2**53.
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _whole_numbers(values) -> bool:
@@ -178,18 +179,6 @@ def _exact_square(squared_norm) -> bool:
     return 0 < squared_norm < _EXACT_BOUND
 
 
-def _restride(data, count: int, width: int, new_width: int) -> bytearray:
-    """``count`` little-endian slots, ``width`` bytes apart in the buffer
-    ``data``, laid out again in adjacent slots of ``new_width`` bytes; a
-    narrower slot keeps the low bytes. Each byte position is one C-level
-    strided copy."""
-    view = memoryview(data).cast("B")
-    out = bytearray(count * new_width)
-    for k in range(min(width, new_width)):
-        out[k::new_width] = view[k::width]
-    return out
-
-
 @dataclass(frozen=True)
 class _Pool:
     """One (year, pack, task position) pool as parallel tuples, sorted by id.
@@ -198,9 +187,10 @@ class _Pool:
     numbers, all of one length, each with a squared norm in (0, 2**53). It
     keeps each vector once, as integers: ``counts`` holds them one after
     the other, ``vectors`` is empty, and ``columns[j]`` packs dimension j of
-    vector i into byte slot i, ``slot`` bytes wide: the fewest whole bytes
-    that hold the pool's largest squared norm. Any other pool keeps its
-    float ``vectors``, and ``counts`` and ``columns`` are empty."""
+    vector i into slot i, ``slot`` bytes wide: the narrowest of struct's
+    unsigned widths, 1, 2, 4 or 8 bytes (``B``, ``H``, ``I``, ``Q``), that
+    holds the pool's largest squared norm. Any other pool keeps its float
+    ``vectors``, and ``counts`` and ``columns`` are empty."""
 
     records: tuple[ExamRecord, ...]
     ids: tuple[str, ...]
@@ -219,13 +209,10 @@ class _Pool:
         if len(set(map(len, vectors))) != 1 or not all(map(_exact_square, squares)) or not _whole_numbers(flat):
             return cls(records, ids, vectors, norms)
         counts = tuple(map(int, flat))
-        raw = memoryview(struct.pack(f"<{len(counts)}Q", *counts))
         dim = len(vectors[0])
-        slot = (int(max(squares)).bit_length() + 7) // 8
-        columns = tuple(
-            int.from_bytes(_restride(raw[j * _WORD_BYTES :], len(records), dim * _WORD_BYTES, slot), "little")
-            for j in range(dim)
-        )
+        slot = next(width for width in _SLOT_FORMATS if max(squares) < 256**width)
+        fmt = f"<{len(records)}{_SLOT_FORMATS[slot]}"
+        columns = tuple(int.from_bytes(struct.pack(fmt, *counts[j::dim]), "little") for j in range(dim))
         return cls(records, ids, (), norms, counts, columns, slot)
 
     def dots(self, member: int) -> tuple[int, ...]:
@@ -233,10 +220,9 @@ class _Pool:
         every vector, in pool order: one big-integer multiply-add per
         dimension. By Cauchy-Schwarz a dot product is at most the larger of
         the two squared norms, so no slot carries into the next."""
-        dim = len(self.columns)
+        dim, size = len(self.columns), len(self.ids)
         total = sum(map(mul, self.counts[member * dim : (member + 1) * dim], self.columns))
-        packed = total.to_bytes(len(self.ids) * self.slot, "little")
-        return struct.unpack(f"<{len(self.ids)}Q", _restride(packed, len(self.ids), self.slot, _WORD_BYTES))
+        return struct.unpack(f"<{size}{_SLOT_FORMATS[self.slot]}", total.to_bytes(size * self.slot, "little"))
 
 
 _EMPTY_POOL = _Pool((), (), (), ())

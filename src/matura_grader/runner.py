@@ -76,6 +76,8 @@ def load_exemplar_manifest(path: str) -> dict[tuple[int, str], dict[int, str]]:
         return {}
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: exemplar manifest is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: exemplar manifest is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
@@ -330,7 +332,12 @@ def rescore_predictions(
     """Rebuild an EvaluationReport from a stored predictions.jsonl file."""
     outcomes: list[GradeOutcome] = []
     first_lines: dict[str, int] = {}
-    lines = Path(predictions_path).read_text(encoding="utf-8").splitlines()
+    raw = Path(predictions_path).read_bytes()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        number = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{predictions_path}:{number}: not UTF-8 ({exc})") from None
     for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue

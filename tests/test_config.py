@@ -74,6 +74,14 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "nope.conf")
 
 
+def test_load_config_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "exp.conf"
+    path.write_bytes(b"\xff\xfetechnique = few_mixed\n")
+    with pytest.raises(ConfigError, match="config file is not UTF-8") as raised:
+        load_config(path)
+    assert str(raised.value).startswith(f"{path}: "), str(raised.value)
+
+
 def test_load_config_file(tmp_path):
     path = tmp_path / "exp.conf"
     path.write_text("technique = few_mixed\nordering = inverted\n", encoding="utf-8")
@@ -143,6 +151,7 @@ def test_well_formed_mock_policy_is_accepted(policy, expected):
         ({"client.kind": "grpc"}, "client.kind must be one of http, mock, got 'grpc'"),
         ({"grading.round_half": "up"}, "grading.round_half must be one of better, worse"),
         ({"client.timeout": "soon"}, "client.timeout must be a number"),
+        ({"runner.token_budget": "0"}, "runner.token_budget must be >= 1"),
     ],
 )
 def test_checks_name_the_key(values, message):

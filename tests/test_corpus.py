@@ -209,10 +209,11 @@ def test_load_corpus_reports_malformed_json(tmp_path, synthetic_dirs_30):
     good = sorted(exam_dir.glob("*.json"))[0]
     shutil.copy(good, target / good.name)
     (target / "zz-broken.json").write_text("{not json", encoding="utf-8")
+    (target / "zz-not-utf8.json").write_bytes(b"\xff\xfe{}")
     corpus = load_corpus(target)
     assert len(corpus) == 1
-    assert len(corpus.errors) == 1
-    assert "zz-broken.json" == corpus.errors[0].file
+    assert [error.file for error in corpus.errors] == ["zz-broken.json", "zz-not-utf8.json"]
+    assert "can't decode byte 0xff in position 0" in corpus.errors[1].reason
 
 
 @pytest.mark.parametrize(

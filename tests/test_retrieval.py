@@ -804,6 +804,36 @@ def test_integer_path_with_counts_past_a_32_bit_slot():
         assert _ranking(index, candidate, 1) == _table_scan(corpus, table, candidate, 1)
 
 
+def _squares_summing_to(total, dim):
+    """Whole numbers, padded with zeros to ``dim``, whose squares sum to ``total``."""
+    parts = []
+    while total:
+        root = math.isqrt(total)
+        parts.append(float(root))
+        total -= root * root
+    assert len(parts) <= dim
+    return tuple(parts) + (0.0,) * (dim - len(parts))
+
+
+@pytest.mark.parametrize(
+    "largest_square, slot",
+    [(255, 1), (256, 2), (65535, 2), (65536, 4), (2**32 - 1, 4), (2**32, 8)],
+)
+def test_integer_path_slot_is_the_narrowest_struct_width(largest_square, slot):
+    # Two copies of the largest vector, mid-pool: their dot product with each
+    # other and with themselves is the largest squared norm, so a slot too
+    # narrow to hold it carries into a neighbour's slot.
+    vectors = _random_counts(f"slot-{slot}", 12, 8)
+    vectors[3] = vectors[8] = _squares_summing_to(largest_square, 8)
+    corpus, table = _table_corpus(vectors)
+    index = TaskTextIndex.build(corpus, _TableEmbedder(table))
+    pool = index._pools[(2023, "pack-a", 1)]
+    assert pool.columns and pool.slot == slot
+    assert max(sum(x * x for x in vector) for vector in vectors) == largest_square
+    for candidate in corpus.records:
+        assert _ranking(index, candidate, 1) == _table_scan(corpus, table, candidate, 1)
+
+
 def test_concurrent_queries_equal_the_serial_sweep(corpus_60_with_ties):
     corpus = corpus_60_with_ties
     index = TaskTextIndex.build(corpus, FallbackEmbedder())

@@ -473,8 +473,12 @@ def test_cli_context_output_is_pinned(technique, candidate, synthetic_dirs_25, t
 def _manifest_config(tmp_path, synthetic_dirs_25, manifest) -> tuple[Path, Path]:
     exam_dir, rubric_dir = synthetic_dirs_25
     manifest_path = tmp_path / "exemplars.json"
-    # A string is written as it is: the text of a manifest that is not JSON.
-    manifest_path.write_text(manifest if isinstance(manifest, str) else json.dumps(manifest), encoding="utf-8")
+    # A string or bytes are written as they are: a manifest that is not JSON
+    # or not UTF-8.
+    if isinstance(manifest, bytes):
+        manifest_path.write_bytes(manifest)
+    else:
+        manifest_path.write_text(manifest if isinstance(manifest, str) else json.dumps(manifest), encoding="utf-8")
     config_file = tmp_path / "exp.conf"
     config_file.write_text(
         f"corpus.path = {exam_dir}\nrubric.path = {rubric_dir}\noutput.dir = {tmp_path / 'out'}\n"
@@ -496,6 +500,7 @@ def _manifest_config(tmp_path, synthetic_dirs_25, manifest) -> tuple[Path, Path]
         ({"2023/pack-a": {"best": "x"}}, "'best'"),
         ({"2023/pack-a": {"1": 7}}, "'2023/pack-a'"),
         ('{"2023/pack-a": {"1": "exam-001"}', "not valid JSON"),
+        (b'\xff\xfe{"2023/pack-a": {"1": "exam-001"}}', "exemplar manifest is not UTF-8"),
     ],
 )
 def test_cli_context_rejects_malformed_exemplar_manifest(manifest, named, synthetic_dirs_25, tmp_path, capsys):
@@ -522,6 +527,7 @@ def test_cli_run_rejects_malformed_exemplar_manifest(synthetic_dirs_25, tmp_path
         '{"id": "exam-002", "valid": true, "assessment": {"task1": null}}',
         '{"id": "exam-002", "valid": true, "assessment": [1, 2]}',
         '{"id": "exam-002", "valid": true, "assessment": {"task1": {"content": 1}, "task2": {}}}',
+        b'{"id": "exam-002", "valid": false, "error": "\xff\xfe"}',
     ],
 )
 def test_cli_metrics_rejects_malformed_prediction_line(line, synthetic_dirs_25, corpus_25, tmp_path, capsys):
@@ -530,7 +536,9 @@ def test_cli_metrics_rejects_malformed_prediction_line(line, synthetic_dirs_25, 
     assessment = {"task1": gold.task1.as_dict(), "task2": gold.task2.as_dict()}
     good = {"id": "exam-001", "valid": True, "assessment": assessment}
     pred = tmp_path / "predictions.jsonl"
-    pred.write_text(json.dumps(good) + "\n" + line + "\n", encoding="utf-8")
+    # A bytes line is written as it is: a line that is not UTF-8.
+    payload = line if isinstance(line, bytes) else line.encode("utf-8")
+    pred.write_bytes(json.dumps(good).encode("utf-8") + b"\n" + payload + b"\n")
     assert main(["metrics", "--pred", str(pred), "--gold", str(exam_dir)]) == 2
     err = capsys.readouterr().err
     assert f"{pred}:2: " in err, err

@@ -12,10 +12,8 @@ from __future__ import annotations
 import http.client
 import json
 import re
-import threading
 import urllib.error
 import urllib.request
-from collections import deque
 
 from .corpus import Corpus
 from .grading import DIMENSIONS, TASKS, VALID_GRADES
@@ -208,23 +206,3 @@ class MockChatClient(ChatClient):
             return f"mock:always_grade:{self.grade}"
         return f"mock:{self.policy}"
 
-
-class ScriptedChatClient(ChatClient):
-    """Replays a fixed sequence of responses; repeats the last one when
-    exhausted. Thread-safe so parallel runs stay well-defined."""
-
-    def __init__(self, responses: list[str]):
-        if not responses:
-            raise ValueError("need at least one scripted response")
-        self._responses = deque(responses)
-        self._last = responses[-1]
-        self._lock = threading.Lock()
-
-    def chat(self, messages: list[dict[str, str]], exam_id: str | None = None) -> str:
-        with self._lock:
-            if self._responses:
-                self._last = self._responses.popleft()
-            return self._last
-
-    def identity(self) -> str:
-        return "scripted"

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -146,9 +146,6 @@ class Corpus:
             pools.setdefault((record.year, record.pack), []).append(record)
         return {key: tuple(records) for key, records in pools.items()}
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     def get(self, exam_id: str) -> ExamRecord:
         try:
             return self.by_id[exam_id]
@@ -161,22 +158,6 @@ class Corpus:
 
     def packs(self) -> tuple[tuple[int, str], ...]:
         return tuple(sorted(self._pools))
-
-    def to_json(self) -> str:
-        """Canonical serialization; byte-stable across reloads of one directory."""
-        payload = [_record_to_dict(r) for r in self.records]
-        return json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=1)
-
-
-def _record_to_dict(r: ExamRecord) -> dict:
-    return {
-        "id": r.id,
-        "year": r.year,
-        "pack": r.pack,
-        "tasks": [{"text_type": t.text_type, "body": t.body} for t in r.tasks],
-        # asdict keeps TaskGrades as tuples; the task grades are written as objects
-        "gold": {**asdict(r.gold), **r.gold.sub_dimensions()},
-    }
 
 
 def _require(data: dict, key: str, kind: type, where: str) -> object:
@@ -320,11 +301,6 @@ class RubricSet:
             return self.descriptors[text_type][dimension][grade]
         except KeyError:
             raise RubricError(f"no rubric descriptor for ({text_type!r}, {dimension!r}, grade {grade})") from None
-
-    def covers(self, text_type: str) -> bool:
-        return text_type in self.descriptors and all(
-            grade in self.descriptors[text_type].get(dim, {}) for dim in DIMENSIONS for grade in RUBRIC_GRADES
-        )
 
 
 def load_rubrics(path: str | Path) -> RubricSet:

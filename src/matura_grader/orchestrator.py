@@ -219,15 +219,6 @@ class ModelAssessment:
         return {task: dict(getattr(self, task)) for task in TASKS}
 
 
-def serialize_assessment(assessment: ModelAssessment) -> str:
-    """Inverse of parse_assessment for valid assessments."""
-    sheet = {
-        task: {**getattr(assessment, task), "feedback": assessment.feedback.get(task, "")}
-        for task in TASKS
-    }
-    return json.dumps(sheet, ensure_ascii=False)
-
-
 # Caps on the search for a reply's JSON object; see ``_first_json_object``.
 _MAX_DEPTH = 64
 _WORK_PER_CHAR = 32

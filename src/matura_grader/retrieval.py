@@ -271,9 +271,6 @@ class TaskTextIndex:
                 pools[(year, pack, position)] = _Pool.pack(records, vectors)
         return cls(pools)
 
-    def pool_size(self, year: int, pack: str, position: int) -> int:
-        return len(self._pools.get((year, pack, position), _EMPTY_POOL).ids)
-
     def query(self, candidate: ExamRecord, position: int, limit: int | None = None) -> list[tuple[ExamRecord, float]]:
         """The other texts of the candidate's (year, pack, ``position``)
         pool, ranked by similarity to the candidate's text there; ties
@@ -325,13 +322,6 @@ class ContextSelection:
     warnings: tuple[str, ...] = ()
     # per task position: final grade -> kept count (RangeOfExamples only)
     coverage: dict[int, dict[int, int]] | None = None
-
-    def reference_ids(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for entry in self.entries:
-            if not entry.is_noise and entry.exam_id not in seen:
-                seen.append(entry.exam_id)
-        return tuple(seen)
 
 
 BASELINE = "baseline"

@@ -247,7 +247,9 @@ def run_experiment(cfg: ExperimentConfig, client: ChatClient | None = None, embe
         for outcome in graded:
             if predictions is None:
                 (out / "transcripts").mkdir(parents=True, exist_ok=True)
-                predictions = stack.enter_context((out / _PARTIAL_PREDICTIONS).open("w", encoding="utf-8"))
+                predictions = stack.enter_context(
+                    (out / _PARTIAL_PREDICTIONS).open("w", encoding="utf-8", errors=_MODEL_TEXT_ERRORS)
+                )
             _write_outcome(out, predictions, outcome)
             outcomes.append(replace(outcome, transcript=(), guesses=()))
 
@@ -279,6 +281,10 @@ def _graded_ahead(
 
 
 _PARTIAL_PREDICTIONS = "predictions.jsonl.partial"
+# Model text may hold a lone surrogate (a reply's JSON can escape one), which
+# UTF-8 cannot encode. Written as ``\udXXX``, it is the JSON escape of that
+# code point, so ``json.loads`` reads back the same string.
+_MODEL_TEXT_ERRORS = "backslashreplace"
 
 
 def _write_outcome(out: Path, predictions: TextIO, outcome: GradeOutcome) -> None:
@@ -292,7 +298,9 @@ def _write_outcome(out: Path, predictions: TextIO, outcome: GradeOutcome) -> Non
         "error": outcome.error,
     }
     (out / "transcripts" / f"{outcome.exam_id}.json").write_text(
-        json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=1) + "\n", encoding="utf-8"
+        json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=1) + "\n",
+        encoding="utf-8",
+        errors=_MODEL_TEXT_ERRORS,
     )
 
 
@@ -334,7 +342,9 @@ def rescore_predictions(
     first_lines: dict[str, int] = {}
     raw = Path(predictions_path).read_bytes()
     try:
-        lines = raw.decode("utf-8").splitlines()
+        # Only "\n" ends a line: json.dumps(ensure_ascii=False) writes U+2028,
+        # U+2029 and U+0085 raw inside strings, and splitlines breaks on them.
+        lines = raw.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         number = raw.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{predictions_path}:{number}: not UTF-8 ({exc})") from None

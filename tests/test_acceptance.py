@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from matura_grader.clients import ScriptedChatClient, assessment_json
+from matura_grader.clients import assessment_json
 from matura_grader.config import config_from_values
 from matura_grader.corpus import load_corpus, load_rubrics
 from matura_grader.grading import DIMENSIONS, FAIL, aggregate, final_grade
@@ -55,6 +55,8 @@ from matura_grader.retrieval import (
 )
 from matura_grader.runner import calibration_items, run_experiment, technique_plan
 from matura_grader.synthetic import make_synthetic
+
+from helpers import ScriptedChatClient, reference_ids
 
 
 @contextmanager
@@ -213,10 +215,10 @@ def test_retrieval_contracts(retrieval_setup):
         # (b) Best-Average-Worst is identical for every candidate of a pack
         for year, pack in corpus.packs():
             base = select_best_average_worst(corpus, year, pack)
-            reference_ids = set(base.reference_ids())
+            base_ids = set(reference_ids(base))
             for candidate in corpus.pool(year, pack):
                 built = build_context(corpus, index, candidate, ContextStrategy(BEST_AVERAGE_WORST))
-                if candidate.id not in reference_ids:
+                if candidate.id not in base_ids:
                     assert built == base
                 else:
                     assert candidate.id not in [e.exam_id for e in built.entries]
@@ -374,7 +376,7 @@ def test_end_to_end_mock_runs(e2e_setup):
             }
         )
         constant_report = run_experiment(constant_cfg)
-        share_of_threes = sum(1 for r in corpus.records if r.gold.final_as_grade() == 3) / len(corpus)
+        share_of_threes = sum(1 for r in corpus.records if r.gold.final_as_grade() == 3) / len(corpus.records)
         final = constant_report.dimensions["final"]
         assert final.accuracy == share_of_threes
         for row in final.confusion:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from matura_grader.clients import MockChatClient, ScriptedChatClient, assessment_json
+from matura_grader.clients import MockChatClient, assessment_json
 from matura_grader.corpus import RubricSet
 from matura_grader.grading import DIMENSIONS, FAIL, HALF_TO_BETTER, HALF_TO_WORSE, TASKS, VALID_GRADES, aggregate
 from matura_grader.orchestrator import (
@@ -25,7 +25,6 @@ from matura_grader.orchestrator import (
     grade_candidate,
     ordering_sequence,
     parse_assessment,
-    serialize_assessment,
 )
 from matura_grader.prompts import (
     RubricError,
@@ -37,6 +36,7 @@ from matura_grader.prompts import (
 from matura_grader.retrieval import ContextSelection, _entry_for, select_best_average_worst
 
 from conftest import make_corpus, make_record
+from helpers import ScriptedChatClient
 
 
 @pytest.fixture(scope="module")
@@ -466,7 +466,7 @@ def test_first_json_object_skips_an_object_nested_past_the_cap():
 def test_parse_serialize_round_trip():
     raw = assessment_json({d: 4 for d in DIMENSIONS}, {d: 2 for d in DIMENSIONS}, feedback="Passt.")
     first = parse_assessment(raw)
-    second = parse_assessment(serialize_assessment(first))
+    second = parse_assessment(assessment_json(first.task1, first.task2, feedback=first.feedback["task1"]))
     assert second.valid
     assert second.task1 == first.task1
     assert second.task2 == first.task2

@@ -39,6 +39,7 @@ from matura_grader.retrieval import (
 from matura_grader.synthetic import make_synthetic
 
 from conftest import make_body, make_corpus, make_record
+from helpers import reference_ids
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +97,7 @@ def _graded_corpus():
 
 def test_baw_picks_extremes_and_average_in_order():
     selection = select_best_average_worst(_graded_corpus(), 2023, "pack-a")
-    assert selection.reference_ids() == ("e-all1", "e-all3", "e-all5")
+    assert reference_ids(selection) == ("e-all1", "e-all3", "e-all5")
     by_position = [e for e in selection.entries if e.task_position == 1]
     assert [e.exam_id for e in by_position] == ["e-all1", "e-all3", "e-all5"]
     assert all(e.gold is not None for e in selection.entries)
@@ -112,7 +113,7 @@ def test_baw_tie_break_prefers_smaller_id():
         ]
     )
     selection = select_best_average_worst(corpus, 2023, "pack-a")
-    assert selection.reference_ids()[0] == "a-xi"
+    assert reference_ids(selection)[0] == "a-xi"
 
 
 def test_baw_requires_three_exams():
@@ -175,14 +176,14 @@ def test_baw_matches_exhaustive_oracle():
             best_distance, average = distance, r
 
     selection = select_best_average_worst(corpus, 2023, "pack-a")
-    assert selection.reference_ids() == (best.id, average.id, worst.id)
+    assert reference_ids(selection) == (best.id, average.id, worst.id)
 
 
 def test_baw_same_selection_when_excluding_unselected_candidate():
     corpus = _ten_exam_corpus()
     base = select_best_average_worst(corpus, 2023, "pack-a")
     for record in corpus.records:
-        if record.id in base.reference_ids():
+        if record.id in reference_ids(base):
             continue
         assert select_best_average_worst(corpus, 2023, "pack-a", exclude_id=record.id) == base
 
@@ -299,7 +300,7 @@ def test_index_query_non_member_candidate(corpus_60_with_ties):
             key = (outsider.year, outsider.pack, position)
             with pytest.raises(KeyError, match=re.escape(f"exam {outsider.id!r} is not in the index pool {key}")):
                 index.query(outsider, position, limit=3)
-    assert len(embedder.texts) == embedded == 2 * len(corpus)
+    assert len(embedder.texts) == embedded == 2 * len(corpus.records)
 
 
 class _TableEmbedder:
@@ -858,10 +859,9 @@ def test_concurrent_queries_equal_the_serial_sweep(corpus_60_with_ties):
 # A query with a limit against the full ranking it cuts short.
 
 
-def _assert_limits_keep_the_head(index, candidate, position):
-    year, pack = candidate.year, candidate.pack
+def _assert_limits_keep_the_head(corpus, index, candidate, position):
     full = index.query(candidate, position)
-    for k in range(1, index.pool_size(year, pack, position) + 2):
+    for k in range(1, len(corpus.pool(candidate.year, candidate.pack)) + 2):
         assert index.query(candidate, position, limit=k) == full[:k]
 
 
@@ -870,7 +870,7 @@ def test_query_limit_keeps_the_head_of_the_full_ranking(corpus_60_with_ties):
     index = TaskTextIndex.build(corpus, FallbackEmbedder())
     for candidate in corpus.records:
         for position in (1, 2):
-            _assert_limits_keep_the_head(index, candidate, position)
+            _assert_limits_keep_the_head(corpus, index, candidate, position)
 
 
 def test_query_limit_on_a_float_path_pool():
@@ -880,7 +880,7 @@ def test_query_limit_on_a_float_path_pool():
     index = TaskTextIndex.build(corpus, _TableEmbedder(table))
     assert index._pools[(2023, "pack-a", 1)].columns == ()
     for candidate in corpus.records:
-        _assert_limits_keep_the_head(index, candidate, 1)
+        _assert_limits_keep_the_head(corpus, index, candidate, 1)
 
 
 def test_query_limit_raises_the_full_scan_errors():

@@ -11,12 +11,14 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matura_grader import runner
 from matura_grader.cli import main
 from matura_grader.clients import ChatClient, ChatTransportError, MockChatClient
 from matura_grader.config import config_from_values
-from matura_grader.corpus import normalize_text
+from matura_grader.corpus import load_corpus, normalize_text
 from matura_grader.metrics import DIMENSION_KEYS, build_report
 from matura_grader.retrieval import FallbackEmbedder, TaskTextIndex
 from matura_grader.runner import (
@@ -57,7 +59,7 @@ def test_always_grade_three_run(synthetic_dirs_25, corpus_25, tmp_path):
         technique="rag_range", **{"technique.n": 1, "client.policy": "always_grade:3"},
     )
     report = run_experiment(cfg)
-    share_of_threes = sum(1 for r in corpus_25.records if r.gold.final_as_grade() == 3) / len(corpus_25)
+    share_of_threes = sum(1 for r in corpus_25.records if r.gold.final_as_grade() == 3) / len(corpus_25.records)
     final = report.dimensions["final"]
     assert final.accuracy == pytest.approx(share_of_threes)
     for i in range(5):
@@ -219,32 +221,96 @@ def test_interrupted_run_leaves_graded_transcripts_and_a_partial_file(
     assert len((out / "predictions.jsonl").read_text(encoding="utf-8").splitlines()) == 25
 
 
-class _FlakyClient(ChatClient):
-    """Echoes gold except for one exam, where transport always fails."""
+# What a misbehaving endpoint can do to one candidate. The feedback faults
+# hold characters that a line reader or a UTF-8 writer can trip over.
+_FEEDBACK_FAULTS = {"u2028": "gut\u2028so", "u0085": "gut\u0085so", "surrogate": "gut\ud800so"}
+_FAULTS = ("transport", "no_json", *_FEEDBACK_FAULTS)
 
-    def __init__(self, corpus, broken_id):
+
+class _FaultyClient(ChatClient):
+    """Echoes gold, except for the exams ``faults`` maps to a fault: a
+    transport error, a reply with no JSON, or feedback holding the text of
+    ``_FEEDBACK_FAULTS``."""
+
+    def __init__(self, corpus, faults: dict[str, str]):
         self.inner = MockChatClient("echo_gold", corpus=corpus)
-        self.broken_id = broken_id
+        self.faults = faults
 
     def chat(self, messages, exam_id=None):
-        if exam_id == self.broken_id:
+        fault = self.faults.get(exam_id)
+        if fault == "transport":
             raise ChatTransportError("chat request failed: verbindung abgebrochen")
-        return self.inner.chat(messages, exam_id=exam_id)
+        if fault == "no_json":
+            return "Leider kann ich das nicht bewerten."
+        reply = self.inner.chat(messages, exam_id=exam_id)
+        if fault in _FEEDBACK_FAULTS:
+            sheet = json.loads(reply)
+            sheet["task1"]["feedback"] = _FEEDBACK_FAULTS[fault]
+            reply = json.dumps(sheet, ensure_ascii=False)
+        return reply
 
     def identity(self):
-        return "flaky"
+        return "faulty"
 
 
 def test_transport_failure_is_isolated(synthetic_dirs_25, corpus_25, tmp_path):
     exam_dir, rubric_dir = synthetic_dirs_25
     broken = corpus_25.records[3].id
     cfg = _cfg(exam_dir, rubric_dir, tmp_path / "out")
-    report = run_experiment(cfg, client=_FlakyClient(corpus_25, broken))
+    report = run_experiment(cfg, client=_FaultyClient(corpus_25, {broken: "transport"}))
     assert report.errored == (broken,)
     assert report.n == 24
     assert report.invalid_count == 1
     transcript = json.loads((tmp_path / "out" / "transcripts" / f"{broken}.json").read_text())
     assert transcript["error"]
+
+
+@pytest.fixture(scope="module")
+def faults_run(tmp_path_factory):
+    """A 12-exam corpus and its clean echo-gold ``baseline`` run."""
+    exam_dir, rubric_dir = make_synthetic(tmp_path_factory.mktemp("faults"), n=12, seed=2)
+    out = tmp_path_factory.mktemp("faults-clean")
+    run_experiment(_cfg(exam_dir, rubric_dir, out))
+    return exam_dir, rubric_dir, load_corpus(exam_dir), out
+
+
+def _prediction_lines(out: Path) -> list[bytes]:
+    data = (out / "predictions.jsonl").read_bytes()
+    assert data.endswith(b"\n")
+    return data[:-1].split(b"\n")
+
+
+@settings(deadline=None, max_examples=20)
+@example(schedule=["u2028", None, "surrogate", "transport", "u0085", "no_json"] + [None] * 6)
+@given(schedule=st.lists(st.sampled_from((None, *_FAULTS)), min_size=12, max_size=12))
+def test_a_run_under_faults_completes_and_keeps_every_other_candidate(faults_run, tmp_path_factory, schedule):
+    exam_dir, rubric_dir, corpus, clean = faults_run
+    ids = sorted(r.id for r in corpus.records)
+    faults = {exam_id: fault for exam_id, fault in zip(ids, schedule) if fault is not None}
+    clean_lines = _prediction_lines(clean)
+    root = tmp_path_factory.mktemp("faulty")
+    runs = {}
+    for parallelism in (1, 4):
+        out = root / f"p{parallelism}"
+        cfg = _cfg(exam_dir, rubric_dir, out, **{"runner.parallelism": parallelism})
+        report = run_experiment(cfg, client=_FaultyClient(corpus, faults))
+        assert sorted(report.errored) == sorted(i for i, fault in faults.items() if fault == "transport")
+        lines = _prediction_lines(out)
+        assert len(lines) == len(ids)
+        for exam_id, line, clean_line in zip(ids, lines, clean_lines):
+            name = f"transcripts/{exam_id}.json"
+            fault = faults.get(exam_id)
+            if fault is None:
+                assert line == clean_line
+                assert (out / name).read_bytes() == (clean / name).read_bytes()
+            elif fault in _FEEDBACK_FAULTS:
+                assert json.loads(line)["assessment"]["feedback"]["task1"] == _FEEDBACK_FAULTS[fault]
+                assert json.loads((out / name).read_bytes())["error"] is None
+        argv = ["metrics", "--pred", str(out / "predictions.jsonl"), "--gold", str(exam_dir)]
+        assert main(argv + ["--technique", report.technique, "--out", str(root / f"rescored{parallelism}")]) == 0
+        assert (root / f"rescored{parallelism}" / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
+        runs[parallelism] = _artifact_bytes(out)
+    assert runs[4] == runs[1]
 
 
 def test_run_writes_transcripts_and_metadata(synthetic_dirs_25, tmp_path):
@@ -714,7 +780,7 @@ def test_load_run_inputs_embeds_only_for_an_index(technique, builds_index, synth
     inputs = load_run_inputs(cfg, embedder)
     assert inputs.plan == technique_plan(cfg)
     if builds_index:
-        assert len(embedder.texts) == 2 * len(corpus_25)
+        assert len(embedder.texts) == 2 * len(corpus_25.records)
         assert inputs.index is not None
     else:
         assert len(embedder.texts) == 0
@@ -752,6 +818,6 @@ def test_embedder_receives_only_loaded_bodies(technique, synthetic_dirs_25, tmp_
     cfg = _cfg(raw_dir, rubric_dir, tmp_path / "out", technique=technique)
     embedder = _CountingEmbedder(cfg.embedding_dim)
     inputs = load_run_inputs(cfg, embedder)
-    assert len(embedder.texts) == 2 * len(inputs.corpus) == 50
+    assert len(embedder.texts) == 2 * len(inputs.corpus.records) == 50
     for text in embedder.texts:
         assert normalize_text(text) == text

@@ -18,7 +18,7 @@ def test_make_synthetic_is_deterministic(tmp_path):
 
 
 def test_synthetic_corpus_loads_cleanly(corpus_25):
-    assert len(corpus_25) == 25
+    assert len(corpus_25.records) == 25
     assert corpus_25.errors == ()
     for record in corpus_25.records:
         assert validate_record(record).ok
@@ -44,5 +44,4 @@ def test_synthetic_pools_are_split_by_pack(corpus_30):
 def test_synthetic_rubrics_cover_all_types(synthetic_dirs_30):
     _, rubric_dir = synthetic_dirs_30
     rubrics = load_rubrics(rubric_dir)
-    for text_type in TEXT_TYPES:
-        assert rubrics.covers(text_type)
+    assert set(rubrics.descriptors) == set(TEXT_TYPES)

@@ -14,6 +14,7 @@ from pathlib import Path
 from .clients import ChatTransportError
 from .config import ConfigError, ExperimentConfig, config_from_values, format_defaults, load_config
 from .corpus import load_corpus, validate_record
+from .orchestrator import CalibrationUser
 from .prompts import grades_line
 from .reporting import accuracy_table_row, emit_report, qwk_table_row
 from .runner import build_candidate_script, load_run_inputs, rescore_predictions, run_experiment
@@ -76,13 +77,14 @@ def _cmd_context(args) -> int:
     cfg = load_config(args.config)
     corpus, rubrics, manifest, plan, index = load_run_inputs(cfg)
     candidate = corpus.get(args.candidate)
-    _, selection, calibration = build_candidate_script(cfg, corpus, index, rubrics, candidate, plan, manifest)
+    script, selection = build_candidate_script(cfg, corpus, index, rubrics, candidate, plan, manifest)
 
     print(f"candidate: {candidate.id} ({candidate.year}/{candidate.pack}), technique: {plan.label}")
     if selection is not None:
-        if not selection.entries:
+        sent = selection.entries[: len(selection.entries) - script.dropped_context]
+        if not sent:
             print("context: (empty)")
-        for entry in selection.entries:
+        for entry in sent:
             if entry.is_noise:
                 print(f"  noise {entry.exam_id}: {len(entry.body.split())} random words")
                 continue
@@ -91,15 +93,14 @@ def _cmd_context(args) -> int:
                 f"  task {entry.task_position}: {entry.exam_id}"
                 f" [{grades_line(entry.gold, entry.final_grade)}]{similarity}"
             )
-        for warning in selection.warnings:
-            print(f"  warning: {warning}")
         if selection.coverage:
             for position, counts in sorted(selection.coverage.items()):
                 rendered = ", ".join(f"{grade}:{count}" for grade, count in sorted(counts.items()))
                 print(f"  coverage task {position}: {rendered}")
-    for item in calibration:
-        positions = ",".join(str(p) for p in item.positions)
-        print(f"  calibration level {item.level} (task {positions}): {item.exam.id}")
+    for turn in script.turns:
+        if isinstance(turn, CalibrationUser):
+            positions = ",".join(str(p) for p in turn.positions)
+            print(f"  calibration level {turn.grade_level} (task {positions}): {turn.exam_id}")
     return EXIT_OK
 
 

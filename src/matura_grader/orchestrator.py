@@ -209,7 +209,6 @@ class ModelAssessment:
     task1: dict[str, int] | None
     task2: dict[str, int] | None
     feedback: dict[str, str] = field(default_factory=dict)
-    raw: str = ""
     valid: bool = False
     failure_reason: str | None = None
 
@@ -307,7 +306,7 @@ def parse_assessment(raw: str) -> ModelAssessment:
     """
     data = _first_json_object(raw)
     if data is None:
-        return ModelAssessment(None, None, raw=raw, failure_reason="no JSON object found")
+        return ModelAssessment(None, None, failure_reason="no JSON object found")
 
     violations: list[str] = []
     grades: dict[str, dict[str, int]] = {}
@@ -337,10 +336,9 @@ def parse_assessment(raw: str) -> ModelAssessment:
 
     if violations:
         return ModelAssessment(
-            **{task: grades.get(task) for task in TASKS}, feedback=feedback, raw=raw,
-            failure_reason="; ".join(violations),
+            **{task: grades.get(task) for task in TASKS}, feedback=feedback, failure_reason="; ".join(violations)
         )
-    return ModelAssessment(**grades, feedback=feedback, raw=raw, valid=True)
+    return ModelAssessment(**grades, feedback=feedback, valid=True)
 
 
 @dataclass(frozen=True)

@@ -142,16 +142,18 @@ def build_candidate_script(
     candidate: ExamRecord,
     plan: TechniquePlan,
     manifest: dict[tuple[int, str], dict[int, str]] | None = None,
-) -> tuple[ConversationScript, ContextSelection | None, list[CalibrationItem]]:
+) -> tuple[ConversationScript, ContextSelection | None]:
+    """The script ``run`` sends for ``candidate``, and for a zero-shot
+    technique the context selection it was rendered from (its first
+    ``len(entries) - script.dropped_context`` entries are sent). Each
+    selection warning is logged with the candidate's id."""
     if plan.zero_shot:
         selection = build_context(corpus, index, candidate, plan.strategy)
-        script = build_zero_shot(candidate, selection, rubrics, token_budget=cfg.token_budget)
-        return script, selection, []
+        for warning in selection.warnings:
+            logger.warning("context for %s: %s", candidate.id, warning)
+        return build_zero_shot(candidate, selection, rubrics, token_budget=cfg.token_budget), selection
     items = calibration_items(corpus, candidate, plan, manifest)
-    script = build_few_shot_script(
-        items, cfg.ordering, candidate, rubrics, cot=plan.cot, token_budget=cfg.token_budget
-    )
-    return script, None, items
+    return build_few_shot_script(items, cfg.ordering, candidate, rubrics, cot=plan.cot, token_budget=cfg.token_budget), None
 
 
 def _outcome_record(outcome: GradeOutcome) -> dict:
@@ -227,7 +229,7 @@ def run_experiment(cfg: ExperimentConfig, client: ChatClient | None = None, embe
 
     def grade_one(candidate: ExamRecord) -> GradeOutcome:
         try:
-            script, _, _ = build_candidate_script(cfg, corpus, index, rubrics, candidate, plan, manifest)
+            script, _ = build_candidate_script(cfg, corpus, index, rubrics, candidate, plan, manifest)
             return grade_candidate(client, script, retries=cfg.retries, half=cfg.round_half)
         except Exception as exc:  # crash isolation: one candidate must not sink the run
             logger.exception("candidate %s failed", candidate.id)
@@ -373,7 +375,6 @@ def rescore_predictions(
             assessment = ModelAssessment(
                 **{task: block.get(task) for task in TASKS},
                 feedback=block.get("feedback") or {},
-                raw="",
                 valid=valid,
                 failure_reason=block.get("failure_reason"),
             )

@@ -188,7 +188,7 @@ def test_perfect_accuracy_implies_zero_mae_and_unit_qwk():
 
 def _outcome(exam_id: str, grades: dict[str, dict[str, int]] | None, error: str | None = None) -> GradeOutcome:
     if grades is None:
-        assessment = None if error else ModelAssessment(None, None, raw="kaputt", failure_reason="no JSON object found")
+        assessment = None if error else ModelAssessment(None, None, failure_reason="no JSON object found")
         return GradeOutcome(exam_id, assessment, None, transcript=(), error=error)
     assessment = ModelAssessment(grades["task1"], grades["task2"], valid=True)
     return GradeOutcome(exam_id, assessment, aggregate(grades), transcript=())

@@ -371,8 +371,7 @@ _JSON_VALUES = st.recursive(
 )
 def test_parse_assessment_never_raises_and_extractor_matches_slicing(raw):
     assert repr(_first_json_object(raw)) == repr(_first_json_object_by_slicing(raw))
-    assessment = parse_assessment(raw)
-    assert assessment.raw == raw
+    parse_assessment(raw)
 
 
 def _sheets(grades):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -17,9 +18,11 @@ from hypothesis import strategies as st
 from matura_grader import runner
 from matura_grader.cli import main
 from matura_grader.clients import ChatClient, ChatTransportError, MockChatClient
-from matura_grader.config import config_from_values
+from matura_grader.config import TECHNIQUES, config_from_values
 from matura_grader.corpus import load_corpus, normalize_text
 from matura_grader.metrics import DIMENSION_KEYS, build_report
+from matura_grader.orchestrator import ORDERINGS
+from matura_grader.prompts import render_calibration_message
 from matura_grader.retrieval import FallbackEmbedder, TaskTextIndex
 from matura_grader.runner import (
     build_candidate_script,
@@ -75,7 +78,7 @@ def test_range_context_covers_all_grades(synthetic_dirs_25, corpus_25, tmp_path)
     index = TaskTextIndex.build(corpus_25, FallbackEmbedder(cfg.embedding_dim))
     rubrics = __import__("matura_grader.corpus", fromlist=["load_rubrics"]).load_rubrics(rubric_dir)
     for candidate in corpus_25.records[:8]:
-        _, selection, _ = build_candidate_script(cfg, corpus_25, index, rubrics, candidate, plan)
+        _, selection = build_candidate_script(cfg, corpus_25, index, rubrics, candidate, plan)
         for position, counts in selection.coverage.items():
             available = {
                 r.gold.final_as_grade() for r in corpus_25.pool(candidate.year, candidate.pack)
@@ -534,6 +537,72 @@ def test_cli_context_output_is_pinned(technique, candidate, synthetic_dirs_25, t
     assert main(["context", "--config", str(config_file), "--candidate", candidate]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CONTEXT_SHA256[(technique, candidate)], out
+
+
+_CALIBRATION_LINE = re.compile(r"  calibration level [1-5] \(task ([0-9,]+)\): (.+)")
+_REFERENCE_LINE = re.compile(r"  task ([12]): (\S+) \[")
+_SENT_REFERENCE = re.compile(r"^Referenztext R[0-9]+ \(Klausur ([^,]+), Aufgabe ([12]),", re.MULTILINE)
+
+
+def _context_and_messages(tmp_path, synthetic_dirs_25, capsys, candidate, **options) -> tuple[str, list[dict]]:
+    """The `context` output for ``candidate`` and the messages of its
+    transcript from a `run` of the same config."""
+    exam_dir, rubric_dir = synthetic_dirs_25
+    values = {
+        "corpus.path": exam_dir, "rubric.path": rubric_dir, "output.dir": tmp_path / "out",
+        "client.policy": "echo_gold", **options,
+    }
+    config_file = tmp_path / "exp.conf"
+    config_file.write_text("".join(f"{key} = {value}\n" for key, value in values.items()), encoding="utf-8")
+    assert main(["context", "--config", str(config_file), "--candidate", candidate]) == 0
+    out = capsys.readouterr().out
+    assert main(["run", "--config", str(config_file)]) == 0
+    transcript = tmp_path / "out" / "transcripts" / f"{candidate}.json"
+    return out, json.loads(transcript.read_text(encoding="utf-8"))["messages"]
+
+
+@pytest.mark.parametrize("ordering", sorted(ORDERINGS))
+@pytest.mark.parametrize("technique", [name for name, plan in TECHNIQUES.items() if not plan.zero_shot])
+def test_cli_context_lists_the_calibration_rounds_the_run_sends(
+    technique, ordering, synthetic_dirs_25, corpus_25, tmp_path, capsys
+):
+    out, messages = _context_and_messages(
+        tmp_path, synthetic_dirs_25, capsys, "exam-003", technique=technique, ordering=ordering
+    )
+    shown = [(tuple(map(int, positions.split(","))), exam_id) for positions, exam_id in _CALIBRATION_LINE.findall(out)]
+    # The system prompt, a calibration message, a guess and a reveal per
+    # round, then the candidate and the answer.
+    assert shown and len(messages) == 3 * len(shown) + 3
+    for index, ((positions, exam_id), message) in enumerate(zip(shown, messages[1:-2:3]), start=1):
+        assert message == {
+            "role": "user",
+            "content": render_calibration_message(index, corpus_25.get(exam_id), positions),
+        }
+
+
+def test_cli_context_lists_the_references_a_token_budget_keeps(synthetic_dirs_25, tmp_path, capsys):
+    out, messages = _context_and_messages(
+        tmp_path, synthetic_dirs_25, capsys, "exam-003",
+        technique="rag_most_similar", **{"technique.k": 3, "runner.token_budget": 4000},
+    )
+    shown = [(exam_id, int(position)) for position, exam_id in _REFERENCE_LINE.findall(out)]
+    sent = [(exam_id, int(position)) for exam_id, position in _SENT_REFERENCE.findall(messages[1]["content"])]
+    assert 0 < len(sent) < 6  # the budget drops some of the 3 references per task
+    assert shown == sent
+
+
+def test_run_logs_each_candidates_selection_warnings(synthetic_dirs_25, corpus_25, tmp_path, caplog):
+    exam_dir, rubric_dir = synthetic_dirs_25
+    cfg = _cfg(exam_dir, rubric_dir, tmp_path / "out", technique="rag_most_similar", **{"technique.k": 30})
+    caplog.set_level(logging.WARNING, logger="matura_grader.runner")
+    run_experiment(cfg)
+    expected = [
+        f"context for {record.id}: task {position}: pool has only"
+        f" {len(corpus_25.pool(record.year, record.pack)) - 1} texts, requested 30"
+        for record in sorted(corpus_25.records, key=lambda r: r.id)
+        for position in (1, 2)
+    ]
+    assert [r.getMessage() for r in caplog.records if r.name == "matura_grader.runner"] == expected
 
 
 def _manifest_config(tmp_path, synthetic_dirs_25, manifest) -> tuple[Path, Path]:

@@ -81,10 +81,9 @@ def _cmd_context(args) -> int:
 
     print(f"candidate: {candidate.id} ({candidate.year}/{candidate.pack}), technique: {plan.label}")
     if selection is not None:
-        sent = selection.entries[: len(selection.entries) - script.dropped_context]
-        if not sent:
+        if not selection.entries:
             print("context: (empty)")
-        for entry in sent:
+        for entry in selection.entries:
             if entry.is_noise:
                 print(f"  noise {entry.exam_id}: {len(entry.body.split())} random words")
                 continue
@@ -167,7 +166,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except (ConfigError, FileNotFoundError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = exc.args[0] if isinstance(exc, KeyError) else exc  # str() of a KeyError quotes it
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_FATAL
     except (ChatTransportError, RuntimeError, OSError) as exc:
         print(f"fatal: {exc}", file=sys.stderr)

@@ -38,7 +38,7 @@ class TechniquePlan:
 
     @property
     def needs_index(self) -> bool:
-        return self.zero_shot and self.strategy.variant in (MOST_SIMILAR, RANGE_OF_EXAMPLES)
+        return self.zero_shot and self.strategy.needs_index
 
 
 TECHNIQUES: dict[str, TechniquePlan] = {

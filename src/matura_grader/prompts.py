@@ -69,7 +69,7 @@ def build_system_prompt(rubric: RubricSet, types: tuple[str, str], cot: bool = F
 
 
 def render_reference_block(entry: ContextEntry, label: str, text_type: str) -> str:
-    if entry.is_noise or entry.gold is None:
+    if entry.is_noise:
         return template("noise_block").format(label=label, body=entry.body)
     return template("reference_block").format(
         label=label,
@@ -85,10 +85,7 @@ def render_context_blocks(selection: ContextSelection, candidate: ExamRecord) ->
     """One rendered block per context entry, in selection order."""
     blocks = []
     for i, entry in enumerate(selection.entries, start=1):
-        if entry.task_position is None:
-            text_type = ""
-        else:
-            text_type = candidate.task(entry.task_position).text_type
+        text_type = "" if entry.is_noise else candidate.task(entry.task_position).text_type
         blocks.append(render_reference_block(entry, f"R{i}", text_type))
     return blocks
 

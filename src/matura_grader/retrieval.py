@@ -6,29 +6,10 @@ most similar texts by embedding cosine, and descending-similarity selection
 until every final grade is covered n times. Noise documents of random German
 words can be appended to any selection.
 
-The index is an exact full scan, with each vector's norm computed once at
-build. A query is leave-one-out: the candidate is a member of its own
-(year, pack, task position) pool, and its stored vector is ranked against
-the pool's other texts. Nothing is embedded at query time. The pool alone
-picks one of two paths:
-
-- the integer path, for a pool of count vectors: floats that are
-  non-negative whole numbers, of one length, with squared norms below
-  2**53, as the fallback embedder's bucket counts are. Each dimension of the
-  pool is packed into one big integer at build, one slot per text of
-  struct's 1, 2, 4 or 8-byte unsigned width, so a query is one
-  multiply-add per dimension for the whole pool. Such a pool keeps its
-  vectors only as integers;
-- the float path, for any other pool (remote float embeddings, a zero
-  vector, mixed lengths): one C-level dot product per pair over the pool's
-  float vectors. Since the query is a member, an integer pool's query is a
-  count vector too, so the float path never has to read integers.
-
-Both are bit-identical to ``cosine_similarity``. The float path performs its
-products and left-to-right sum. On the integer path every product and
-partial sum is an integer below 2**53, which a float holds exactly, so the
-integer dot product equals that float sum. numpy is left out on purpose
-(see ``TaskTextIndex``).
+The index is an exact, leave-one-out full scan. Each pool takes one of two
+paths, an integer path for count vectors and a float path for any other
+vectors, and both give similarities bit-identical to
+``cosine_similarity``; ``TaskTextIndex`` explains both.
 
 Embeddings come from a remote HTTP endpoint or from a deterministic
 hash-based fallback so the whole pipeline runs offline.
@@ -183,14 +164,12 @@ def _exact_square(squared_norm) -> bool:
 class _Pool:
     """One (year, pack, task position) pool as parallel tuples, sorted by id.
 
-    An integer pool is one whose every vector is a count vector: float whole
-    numbers, all of one length, each with a squared norm in (0, 2**53). It
-    keeps each vector once, as integers: ``counts`` holds them one after
-    the other, ``vectors`` is empty, and ``columns[j]`` packs dimension j of
-    vector i into slot i, ``slot`` bytes wide: the narrowest of struct's
-    unsigned widths, 1, 2, 4 or 8 bytes (``B``, ``H``, ``I``, ``Q``), that
-    holds the pool's largest squared norm. Any other pool keeps its float
-    ``vectors``, and ``counts`` and ``columns`` are empty."""
+    An integer pool keeps each vector once, as integers: ``counts`` holds
+    them one after the other, ``vectors`` is empty, and ``columns[j]`` packs
+    dimension j of vector i into slot i, ``slot`` bytes wide: the narrowest
+    of struct's unsigned widths, 1, 2, 4 or 8 bytes (``B``, ``H``, ``I``,
+    ``Q``), that holds the pool's largest squared norm. Any other pool keeps
+    its float ``vectors``, and ``counts`` and ``columns`` are empty."""
 
     records: tuple[ExamRecord, ...]
     ids: tuple[str, ...]
@@ -313,15 +292,26 @@ class ContextEntry:
     gold: dict[str, int] | None  # the 4 dimension grades of that task
     final_grade: int | None
     similarity: float | None
-    is_noise: bool = False
+
+    @property
+    def is_noise(self) -> bool:
+        return self.task_position is None
 
 
 @dataclass(frozen=True)
 class ContextSelection:
     entries: tuple[ContextEntry, ...] = ()
     warnings: tuple[str, ...] = ()
-    # per task position: final grade -> kept count (RangeOfExamples only)
-    coverage: dict[int, dict[int, int]] | None = None
+    covered: tuple[int, ...] = ()  # the task positions a range-of-examples scan covered
+
+    @property
+    def coverage(self) -> dict[int, dict[int, int]] | None:
+        """Per covered task position: final grade -> count of its entries;
+        None when no position is covered."""
+        if not self.covered:
+            return None
+        counts = Counter((entry.task_position, entry.final_grade) for entry in self.entries)
+        return {position: {grade: counts[position, grade] for grade in VALID_GRADES} for position in self.covered}
 
 
 BASELINE = "baseline"
@@ -356,6 +346,13 @@ class ContextStrategy:
                 raise ValueError("mixed_per_task needs task1 and task2 sub-strategies")
             if MIXED_PER_TASK in (self.task1.variant, self.task2.variant):
                 raise ValueError("mixed_per_task must not nest mixed_per_task")
+
+    @property
+    def needs_index(self) -> bool:
+        """Whether ``build_context`` queries the similarity index for it."""
+        if self.variant == MIXED_PER_TASK:
+            return self.task1.needs_index or self.task2.needs_index
+        return self.variant in (MOST_SIMILAR, RANGE_OF_EXAMPLES)
 
 
 def _entry_for(record: ExamRecord, position: int, similarity: float | None) -> ContextEntry:
@@ -431,8 +428,6 @@ def select_most_similar(
     index: TaskTextIndex, candidate: ExamRecord, k: int, positions: tuple[int, ...] = (1, 2)
 ) -> ContextSelection:
     """Top-k most similar pool texts per task, candidate excluded."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     entries: list[ContextEntry] = []
     warnings: list[str] = []
     for position in positions:
@@ -448,11 +443,8 @@ def select_range_of_examples(
 ) -> ContextSelection:
     """Scan pool texts by descending similarity, keeping a text only while
     its final grade is still needed, until every grade 1..5 is covered n
-    times or the pool runs out. Under-coverage lands in the coverage report."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    times or the pool runs out. Under-coverage shows in ``coverage``."""
     entries: list[ContextEntry] = []
-    coverage: dict[int, dict[int, int]] = {}
     for position in positions:
         counts = dict.fromkeys(VALID_GRADES, 0)
         for record, similarity in index.query(candidate, position):
@@ -463,8 +455,7 @@ def select_range_of_examples(
             entries.append(_entry_for(record, position, similarity))
             if all(count >= n for count in counts.values()):
                 break
-        coverage[position] = counts
-    return ContextSelection(entries=tuple(entries), coverage=coverage)
+    return ContextSelection(entries=tuple(entries), covered=positions)
 
 
 def select_grade_exemplars(
@@ -507,8 +498,6 @@ def random_word_text(rng: random.Random, min_words: int = 120, max_words: int = 
 
 def inject_noise(selection: ContextSelection, count: int, seed: int) -> ContextSelection:
     """Append ``count`` random-word noise documents; deterministic in seed."""
-    if count < 0:
-        raise ValueError("noise count must be >= 0")
     if count == 0:
         return selection
     rng = random.Random(seed)
@@ -520,7 +509,6 @@ def inject_noise(selection: ContextSelection, count: int, seed: int) -> ContextS
             gold=None,
             final_grade=None,
             similarity=None,
-            is_noise=True,
         )
         for i in range(count)
     )
@@ -564,13 +552,10 @@ def build_context(
     if strategy.variant == MIXED_PER_TASK:
         first = _select(corpus, index, candidate, strategy.task1, positions=(1,))
         second = _select(corpus, index, candidate, strategy.task2, positions=(2,))
-        coverage = None
-        if first.coverage or second.coverage:
-            coverage = {**(first.coverage or {}), **(second.coverage or {})}
         selection = ContextSelection(
             entries=first.entries + second.entries,
             warnings=first.warnings + second.warnings,
-            coverage=coverage,
+            covered=first.covered + second.covered,
         )
     else:
         selection = _select(corpus, index, candidate, strategy, positions=(1, 2))

@@ -144,14 +144,15 @@ def build_candidate_script(
     manifest: dict[tuple[int, str], dict[int, str]] | None = None,
 ) -> tuple[ConversationScript, ContextSelection | None]:
     """The script ``run`` sends for ``candidate``, and for a zero-shot
-    technique the context selection it was rendered from (its first
-    ``len(entries) - script.dropped_context`` entries are sent). Each
-    selection warning is logged with the candidate's id."""
+    technique the context selection it sends: the built selection less the
+    references the token budget dropped. Each selection warning is logged
+    with the candidate's id."""
     if plan.zero_shot:
         selection = build_context(corpus, index, candidate, plan.strategy)
         for warning in selection.warnings:
             logger.warning("context for %s: %s", candidate.id, warning)
-        return build_zero_shot(candidate, selection, rubrics, token_budget=cfg.token_budget), selection
+        script = build_zero_shot(candidate, selection, rubrics, token_budget=cfg.token_budget)
+        return script, replace(selection, entries=selection.entries[: len(selection.entries) - script.dropped_context])
     items = calibration_items(corpus, candidate, plan, manifest)
     return build_few_shot_script(items, cfg.ordering, candidate, rubrics, cot=plan.cot, token_budget=cfg.token_budget), None
 

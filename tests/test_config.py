@@ -7,6 +7,7 @@ from matura_grader.config import (
     TECHNIQUES,
     ConfigError,
     DEFAULTS,
+    TechniquePlan,
     config_from_values,
     config_hash,
     format_defaults,
@@ -14,7 +15,14 @@ from matura_grader.config import (
     parse_config_text,
 )
 from matura_grader.orchestrator import ORDERINGS
-from matura_grader.retrieval import ContextStrategy
+from matura_grader.retrieval import (
+    BASELINE,
+    BEST_AVERAGE_WORST,
+    MIXED_PER_TASK,
+    MOST_SIMILAR,
+    RANGE_OF_EXAMPLES,
+    ContextStrategy,
+)
 from matura_grader.runner import technique_plan
 
 
@@ -174,6 +182,20 @@ def test_every_technique_has_a_plan():
         assert plan.zero_shot == (plan.strategy is not None) == (not plan.calibration_groups)
         assert plan.needs_index == (name in ("rag_most_similar", "rag_range"))
         assert plan.cot == (name == "cot_best_worst")
+
+
+@pytest.mark.parametrize(
+    "task1,task2,needs_index",
+    [
+        (MOST_SIMILAR, BASELINE, True),
+        (BEST_AVERAGE_WORST, RANGE_OF_EXAMPLES, True),
+        (BASELINE, BEST_AVERAGE_WORST, False),
+    ],
+)
+def test_mixed_per_task_plan_needs_an_index_when_a_sub_strategy_does(task1, task2, needs_index):
+    strategy = ContextStrategy(MIXED_PER_TASK, task1=ContextStrategy(task1), task2=ContextStrategy(task2))
+    assert strategy.needs_index == needs_index
+    assert TechniquePlan("mixed", strategy).needs_index == needs_index
 
 
 def test_config_from_values_rejects_unknown_keys():

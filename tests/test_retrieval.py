@@ -22,6 +22,7 @@ from matura_grader.retrieval import (
     FALLBACK_DIM,
     MIXED_PER_TASK,
     MOST_SIMILAR,
+    RANGE_OF_EXAMPLES,
     ContextSelection,
     ContextStrategy,
     EmbeddingError,
@@ -456,6 +457,19 @@ def test_range_of_examples_double_coverage(embedder):
     counts = selection.coverage[1]
     assert all(count <= 2 for count in counts.values())
     assert len(selection.entries) == sum(counts.values())
+
+
+def test_mixed_per_task_coverage_counts_only_its_range_task(embedder):
+    corpus = _ten_exam_corpus()
+    index = TaskTextIndex.build(corpus, embedder)
+    candidate = corpus.get("x-10")
+    strategy = ContextStrategy(
+        MIXED_PER_TASK, task1=ContextStrategy(MOST_SIMILAR, k=2), task2=ContextStrategy(RANGE_OF_EXAMPLES)
+    )
+    selection = build_context(corpus, index, candidate, strategy)
+    assert [e.task_position for e in selection.entries] == [1, 1, 2, 2, 2, 2, 2]
+    assert selection.coverage == select_range_of_examples(index, candidate, n=1, positions=(2,)).coverage
+    assert selection.coverage == {2: {1: 1, 2: 1, 3: 1, 4: 1, 5: 1}}
 
 
 def test_range_of_examples_reports_missing_grade(embedder):

@@ -9,6 +9,8 @@ import shutil
 import subprocess
 import sys
 import threading
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,12 @@ from matura_grader.config import TECHNIQUES, config_from_values
 from matura_grader.corpus import load_corpus, normalize_text
 from matura_grader.metrics import DIMENSION_KEYS, build_report
 from matura_grader.orchestrator import ORDERINGS
-from matura_grader.prompts import render_calibration_message
+from matura_grader.prompts import (
+    context_intro,
+    render_calibration_message,
+    render_candidate_block,
+    render_context_blocks,
+)
 from matura_grader.retrieval import FallbackEmbedder, TaskTextIndex
 from matura_grader.runner import (
     build_candidate_script,
@@ -465,6 +472,13 @@ def test_cli_unknown_candidate_is_fatal(synthetic_dirs_25, tmp_path, capsys):
     assert main(["context", "--config", str(config_file), "--candidate", "fehlt"]) == 2
 
 
+def test_cli_unknown_candidate_error_line_is_unquoted(synthetic_dirs_25, tmp_path, capsys):
+    exam_dir, rubric_dir = synthetic_dirs_25
+    config_file = _context_config(tmp_path, exam_dir, rubric_dir)
+    assert main(["context", "--config", str(config_file), "--candidate", "exam-999"]) == 2
+    assert capsys.readouterr().err == "error: no exam with id 'exam-999'\n"
+
+
 def test_importing_runner_loads_no_numpy():
     # A numpy import adds about 13 MiB of resident memory to every run, more
     # than the pure-Python similarity scan saves; keep it out of the pipeline.
@@ -589,6 +603,65 @@ def test_cli_context_lists_the_references_a_token_budget_keeps(synthetic_dirs_25
     sent = [(exam_id, int(position)) for exam_id, position in _SENT_REFERENCE.findall(messages[1]["content"])]
     assert 0 < len(sent) < 6  # the budget drops some of the 3 references per task
     assert shown == sent
+
+
+@pytest.fixture(scope="module")
+def synthetic_dirs_20_seed7(tmp_path_factory):
+    return make_synthetic(tmp_path_factory.mktemp("corpus20"), n=20, seed=7)
+
+
+_LISTED_FINAL = re.compile(r"^  task ([12]): \S+ \[.*\(Gesamtnote der Klausur: ([1-5])\)\]", re.MULTILINE)
+
+
+def test_cli_context_coverage_counts_the_references_a_token_budget_keeps(synthetic_dirs_20_seed7, tmp_path, capsys):
+    exam_dir, rubric_dir = synthetic_dirs_20_seed7
+    config_file = _context_config(tmp_path, exam_dir, rubric_dir, technique="rag_range")
+    with config_file.open("a", encoding="utf-8") as handle:
+        handle.write("runner.token_budget = 4500\n")
+    assert main(["context", "--config", str(config_file), "--candidate", "exam-003"]) == 0
+    out = capsys.readouterr().out
+    listed = Counter((int(position), int(grade)) for position, grade in _LISTED_FINAL.findall(out))
+    coverage = [line for line in out.splitlines() if line.startswith("  coverage task ")]
+    assert coverage == [
+        f"  coverage task {position}: " + ", ".join(f"{grade}:{listed[position, grade]}" for grade in range(1, 6))
+        for position in (1, 2)
+    ]
+    # The budget keeps 3 of the 10 references, all for task 1.
+    assert coverage == ["  coverage task 1: 1:1, 2:1, 3:0, 4:0, 5:1", "  coverage task 2: 1:0, 2:0, 3:0, 4:0, 5:0"]
+
+
+@pytest.mark.parametrize("technique", ["rag_most_similar", "rag_range"])
+def test_candidate_script_selection_renders_to_the_references_it_sends(
+    technique, synthetic_dirs_25, corpus_25, rubrics_25, tmp_path
+):
+    # Every budget from "drop nothing" down to 1 (which leaves the bare
+    # candidate message): the returned selection renders to exactly the
+    # reference blocks of the script's user message.
+    exam_dir, rubric_dir = synthetic_dirs_25
+    cfg = _cfg(exam_dir, rubric_dir, tmp_path / "out", technique=technique, **{"technique.k": 3})
+    plan = technique_plan(cfg)
+    index = TaskTextIndex.build(corpus_25, FallbackEmbedder(cfg.embedding_dim))
+    candidate = corpus_25.get("exam-003")
+    unlimited, built = build_candidate_script(cfg, corpus_25, index, rubrics_25, candidate, plan)
+    assert unlimited.dropped_context == 0
+    full = (len(unlimited.system) + len(unlimited.turns[0].content)) // 4
+    seen = set()
+    for budget in range(full, 0, -25):
+        script, selection = build_candidate_script(
+            replace(cfg, token_budget=budget), corpus_25, index, rubrics_25, candidate, plan
+        )
+        blocks = render_context_blocks(selection, candidate)
+        assert script.turns[0].content == "\n\n".join(
+            ([context_intro(), *blocks] if blocks else []) + [render_candidate_block(candidate)]
+        ), budget
+        assert len(selection.entries) == len(built.entries) - script.dropped_context
+        seen.add(len(selection.entries))
+        if technique == "rag_range":
+            sent = Counter((entry.task_position, entry.final_grade) for entry in selection.entries)
+            assert selection.coverage == {
+                position: {grade: sent[position, grade] for grade in range(1, 6)} for position in (1, 2)
+            }, budget
+    assert seen == set(range(len(built.entries) + 1))
 
 
 def test_run_logs_each_candidates_selection_warnings(synthetic_dirs_25, corpus_25, tmp_path, caplog):

@@ -58,14 +58,11 @@ class CalibrationUser:
 
 
 @dataclass(frozen=True)
-class AwaitModelGuess:
-    pass
-
-
-@dataclass(frozen=True)
 class RevealGold:
+    """The true grades of the round's reference text; the model's guess is
+    requested just before this turn is sent."""
+
     content: str
-    exam_id: str
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,7 @@ class CandidateUser:
     content: str
 
 
-Turn = CalibrationUser | AwaitModelGuess | RevealGold | CandidateUser
+Turn = CalibrationUser | RevealGold | CandidateUser
 
 
 @dataclass(frozen=True)
@@ -85,9 +82,7 @@ class ConversationScript:
 
     def outbound_texts(self) -> tuple[str, ...]:
         """Everything this script can send to the model (for leakage checks)."""
-        return (self.system,) + tuple(
-            turn.content for turn in self.turns if not isinstance(turn, AwaitModelGuess)
-        )
+        return (self.system,) + tuple(turn.content for turn in self.turns)
 
 
 @dataclass(frozen=True)
@@ -104,6 +99,17 @@ def _estimated_tokens(*texts: str) -> int:
     return sum(len(t) for t in texts) // CHARS_PER_TOKEN
 
 
+def _budgeted(script: ConversationScript, token_budget: int | None) -> ConversationScript:
+    """The script as is, with one warning when its estimate exceeds the budget."""
+    if token_budget is not None:
+        estimate = _estimated_tokens(*script.outbound_texts())
+        if estimate > token_budget:
+            logger.warning(
+                "script for %s estimated at %d tokens exceeds budget %d", script.candidate_id, estimate, token_budget
+            )
+    return script
+
+
 def build_zero_shot(
     candidate: ExamRecord,
     ctx: ContextSelection,
@@ -114,7 +120,8 @@ def build_zero_shot(
 
     When the rendered script would exceed the token budget (estimated at 4
     characters per token), reference texts are dropped from the end of the
-    context list until it fits; drops are logged and recorded.
+    context list until it fits; drops are logged and recorded. A script
+    still over the budget is sent as is, with one warning.
     """
     system = build_system_prompt(rubric, (candidate.task(1).text_type, candidate.task(2).text_type))
     blocks = render_context_blocks(ctx, candidate)
@@ -135,12 +142,7 @@ def build_zero_shot(
         logger.warning(
             "dropped %d context text(s) for %s to fit the %d-token budget", dropped, candidate.id, token_budget
         )
-    return ConversationScript(
-        system=system,
-        turns=(CandidateUser(content),),
-        candidate_id=candidate.id,
-        dropped_context=dropped,
-    )
+    return _budgeted(ConversationScript(system, (CandidateUser(content),), candidate.id, dropped), token_budget)
 
 
 def build_few_shot_script(
@@ -155,6 +157,7 @@ def build_few_shot_script(
 
     Items that cover different task subsets are grouped (all task-1 rounds
     before all task-2 rounds); each group follows the scheme's grade order.
+    A script over the token budget is sent as is, with one warning.
     """
     if not calib:
         raise ValueError("few-shot script needs at least one calibration exam")
@@ -165,43 +168,24 @@ def build_few_shot_script(
     groups: dict[tuple[int, ...], list[CalibrationItem]] = {}
     for item in calib:
         groups.setdefault(item.positions, []).append(item)
+    rounds: list[CalibrationItem] = []
+    for items in groups.values():
+        place = {level: i for i, level in enumerate(ordering_sequence(scheme, {item.level for item in items}))}
+        rounds += sorted((item for item in items if item.level in place), key=lambda item: place[item.level])
 
     turns: list[Turn] = []
-    index = 0
-    for positions, items in groups.items():
-        sequence = ordering_sequence(scheme, {item.level for item in items})
-        for level in sequence:
-            for item in items:
-                if item.level != level:
-                    continue
-                index += 1
-                turns.append(
-                    CalibrationUser(
-                        content=render_calibration_message(index, item.exam, positions),
-                        exam_id=item.exam.id,
-                        grade_level=item.level,
-                        positions=positions,
-                    )
-                )
-                turns.append(AwaitModelGuess())
-                turns.append(RevealGold(content=render_reveal_gold(item.exam, positions), exam_id=item.exam.id))
-    turns.append(CandidateUser(render_candidate_block(candidate)))
-
-    script = ConversationScript(
-        system=system,
-        turns=tuple(turns),
-        candidate_id=candidate.id,
-    )
-    if token_budget is not None:
-        estimate = _estimated_tokens(*script.outbound_texts())
-        if estimate > token_budget:
-            logger.warning(
-                "few-shot script for %s estimated at %d tokens exceeds budget %d; calibration rounds are kept",
-                candidate.id,
-                estimate,
-                token_budget,
+    for index, item in enumerate(rounds, start=1):
+        turns.append(
+            CalibrationUser(
+                content=render_calibration_message(index, item.exam, item.positions),
+                exam_id=item.exam.id,
+                grade_level=item.level,
+                positions=item.positions,
             )
-    return script
+        )
+        turns.append(RevealGold(render_reveal_gold(item.exam, item.positions)))
+    turns.append(CandidateUser(render_candidate_block(candidate)))
+    return _budgeted(ConversationScript(system, tuple(turns), candidate.id), token_budget)
 
 
 @dataclass(frozen=True)
@@ -364,14 +348,16 @@ def grade_candidate(
 ) -> GradeOutcome:
     """Drive one conversation through the client and parse the result.
 
-    Calibration guesses are recorded verbatim; an unparseable final answer
-    is retried with a reformat instruction up to ``retries`` times and
-    otherwise counted as invalid. Transport failures yield an errored
-    outcome with the partial transcript.
+    The model's guess is requested before each ``RevealGold`` turn and
+    recorded verbatim; an unparseable final answer is retried with a
+    reformat instruction up to ``retries`` times and otherwise counted as
+    invalid. Transport failures yield an errored outcome with the partial
+    transcript.
     """
     messages: list[dict[str, str]] = [{"role": "system", "content": script.system}]
     guesses: list[str] = []
     attempts = 0
+    error: str | None = None
 
     def call() -> str:
         reply = client.chat(messages, exam_id=script.candidate_id)
@@ -380,10 +366,9 @@ def grade_candidate(
 
     try:
         for turn in script.turns:
-            if isinstance(turn, AwaitModelGuess):
+            if isinstance(turn, RevealGold):
                 guesses.append(call())
-            else:
-                messages.append({"role": "user", "content": turn.content})
+            messages.append({"role": "user", "content": turn.content})
         attempts = 1
         assessment = parse_assessment(call())
         while not assessment.valid and attempts <= retries:
@@ -391,22 +376,14 @@ def grade_candidate(
             attempts += 1
             assessment = parse_assessment(call())
     except ChatTransportError as exc:
-        return GradeOutcome(
-            exam_id=script.candidate_id,
-            assessment=None,
-            derived=None,
-            transcript=tuple(messages),
-            guesses=tuple(guesses),
-            attempts=attempts,
-            error=str(exc),
-        )
+        assessment, error = None, str(exc)
 
-    derived = aggregate(assessment.sub_dimensions(), half) if assessment.valid else None
     return GradeOutcome(
         exam_id=script.candidate_id,
         assessment=assessment,
-        derived=derived,
+        derived=aggregate(assessment.sub_dimensions(), half) if assessment is not None and assessment.valid else None,
         transcript=tuple(messages),
         guesses=tuple(guesses),
         attempts=attempts,
+        error=error,
     )

@@ -246,8 +246,13 @@ class TaskTextIndex:
         for year, pack in corpus.packs():
             records = corpus.pool(year, pack)
             for position in (1, 2):
-                vectors = tuple(embedder.embed(record.task(position).body) for record in records)
-                pools[(year, pack, position)] = _Pool.pack(records, vectors)
+                vectors = []
+                for record in records:
+                    try:
+                        vectors.append(embedder.embed(record.task(position).body))
+                    except EmbeddingError as exc:
+                        raise EmbeddingError(f"exam {record.id!r} task {position}: {exc}") from exc
+                pools[(year, pack, position)] = _Pool.pack(records, tuple(vectors))
         return cls(pools)
 
     def query(self, candidate: ExamRecord, position: int, limit: int | None = None) -> list[tuple[ExamRecord, float]]:

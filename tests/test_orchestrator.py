@@ -9,12 +9,11 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from matura_grader.clients import MockChatClient, assessment_json
+from matura_grader.clients import ChatClient, ChatTransportError, MockChatClient, assessment_json
 from matura_grader.corpus import RubricSet
 from matura_grader.grading import DIMENSIONS, FAIL, HALF_TO_BETTER, HALF_TO_WORSE, TASKS, VALID_GRADES, aggregate
 from matura_grader.orchestrator import (
     ORDERINGS,
-    AwaitModelGuess,
     _first_json_object,
     CalibrationItem,
     CalibrationUser,
@@ -31,7 +30,10 @@ from matura_grader.prompts import (
     build_system_prompt,
     context_intro,
     output_schema_block,
+    reformat_instruction,
+    render_calibration_message,
     render_reference_block,
+    render_reveal_gold,
 )
 from matura_grader.retrieval import ContextSelection, _entry_for, select_best_average_worst
 
@@ -156,6 +158,8 @@ def test_zero_shot_budgeted_message_is_the_kept_prefix_message(rubric, small_cor
     ctx = select_best_average_worst(small_corpus, 2023, "pack-a", exclude_id=candidate.id)
     unlimited = build_zero_shot(candidate, ctx, rubric)
     full = (len(unlimited.system) + len(unlimited.turns[0].content)) // 4
+    no_context = build_zero_shot(candidate, ContextSelection(), rubric)
+    bare_estimate = (len(no_context.system) + len(no_context.turns[0].content)) // 4
     caplog.set_level(logging.WARNING, logger="matura_grader.orchestrator")
     seen = set()
     for budget in range(full, -1, -25):
@@ -167,16 +171,31 @@ def test_zero_shot_budgeted_message_is_the_kept_prefix_message(rubric, small_cor
         assert script.system == unlimited.system
         seen.add(script.dropped_context)
         warnings = [r.getMessage() for r in caplog.records]
+        expected_warnings = []
         if script.dropped_context:
-            assert warnings == [
+            expected_warnings.append(
                 f"dropped {script.dropped_context} context text(s) for s-06 to fit the {budget}-token budget"
-            ]
-        else:
-            assert warnings == []
+            )
+        if budget < bare_estimate:
+            expected_warnings.append(f"script for s-06 estimated at {bare_estimate} tokens exceeds budget {budget}")
+        assert warnings == expected_warnings, budget
     assert {0, len(ctx.entries)} <= seen
     bare = build_zero_shot(candidate, ctx, rubric, token_budget=0).turns[0].content
     assert context_intro() not in bare
     assert bare == build_zero_shot(candidate, ContextSelection(), rubric).turns[0].content
+
+
+def test_baseline_script_over_budget_warns_once(rubric, small_corpus, caplog):
+    candidate = small_corpus.get("s-06")
+    script = build_zero_shot(candidate, ContextSelection(), rubric)
+    estimate = (len(script.system) + len(script.turns[0].content)) // 4
+    caplog.set_level(logging.WARNING, logger="matura_grader.orchestrator")
+    assert build_zero_shot(candidate, ContextSelection(), rubric, token_budget=estimate) == script
+    assert caplog.records == []
+    assert build_zero_shot(candidate, ContextSelection(), rubric, token_budget=estimate - 1) == script
+    assert [r.getMessage() for r in caplog.records] == [
+        f"script for s-06 estimated at {estimate} tokens exceeds budget {estimate - 1}"
+    ]
 
 
 def _items(corpus, levels, positions=(1, 2)):
@@ -223,14 +242,12 @@ def test_few_shot_base_order_and_turn_protocol(rubric, small_corpus):
     script = build_few_shot_script(_items(small_corpus, (1, 3, 5)), "base", candidate, rubric)
     calibration = [t for t in script.turns if isinstance(t, CalibrationUser)]
     reveals = [t for t in script.turns if isinstance(t, RevealGold)]
-    guesses = [t for t in script.turns if isinstance(t, AwaitModelGuess)]
     assert [t.grade_level for t in calibration] == [1, 3, 5]
-    assert len(reveals) == len(calibration) == len(guesses) == 3
+    assert len(reveals) == len(calibration) == 3
     # strict alternation, then exactly one terminal candidate turn
-    for i in range(0, 9, 3):
+    for i in range(0, 6, 2):
         assert isinstance(script.turns[i], CalibrationUser)
-        assert isinstance(script.turns[i + 1], AwaitModelGuess)
-        assert isinstance(script.turns[i + 2], RevealGold)
+        assert isinstance(script.turns[i + 1], RevealGold)
     assert isinstance(script.turns[-1], CandidateUser)
     assert sum(isinstance(t, CandidateUser) for t in script.turns) == 1
 
@@ -250,6 +267,44 @@ def test_few_shot_grouped_mixed_context(rubric, small_corpus):
     calibration = [t for t in script.turns if isinstance(t, CalibrationUser)]
     assert [t.positions for t in calibration] == [(1,)] * 3 + [(2,)] * 5
     assert [t.grade_level for t in calibration] == [1, 3, 5, 1, 2, 3, 4, 5]
+
+
+def _rounds_oracle(calib, scheme):
+    """The per-level rescan that the round list replaced: for each positions
+    group, for each level of the scheme's sequence, every item at that level."""
+    groups = {}
+    for item in calib:
+        groups.setdefault(item.positions, []).append(item)
+    rounds = []
+    for positions, items in groups.items():
+        for level in ordering_sequence(scheme, {item.level for item in items}):
+            for item in items:
+                if item.level != level:
+                    continue
+                rounds.append((item.exam.id, item.level, positions))
+    return rounds
+
+
+@pytest.mark.parametrize("scheme", list(ORDERINGS))
+def test_few_shot_rounds_match_the_rescan_oracle(rubric, small_corpus, scheme):
+    candidate = small_corpus.get("s-06")
+    for levels in _LEVEL_SUBSETS:
+        # Levels listed from high to low, plus a second exam at the lowest
+        # level, so the order is the scheme's and ties keep their listing.
+        listed = _items(small_corpus, sorted(levels, reverse=True))
+        listed.append(CalibrationItem(candidate, min(levels)))
+        split = [replace(item, positions=((1,), (2,))[i % 2]) for i, item in enumerate(listed)]
+        for calib in (listed, split):
+            script = build_few_shot_script(calib, scheme, candidate, rubric)
+            rounds = _rounds_oracle(calib, scheme)
+            calibration = [t for t in script.turns if isinstance(t, CalibrationUser)]
+            reveals = [t for t in script.turns if isinstance(t, RevealGold)]
+            assert [(t.exam_id, t.grade_level, t.positions) for t in calibration] == rounds, (scheme, levels)
+            for index, (exam_id, _, positions) in enumerate(rounds, start=1):
+                exam = small_corpus.get(exam_id)
+                assert calibration[index - 1].content == render_calibration_message(index, exam, positions)
+                assert reveals[index - 1].content == render_reveal_gold(exam, positions)
+            assert [type(t) for t in script.turns] == [CalibrationUser, RevealGold] * len(rounds) + [CandidateUser]
 
 
 def test_few_shot_requires_calibration(rubric, small_corpus):
@@ -543,3 +598,53 @@ def test_grade_candidate_deterministic_with_mock(rubric, small_corpus):
     first = grade_candidate(client, script)
     second = grade_candidate(client, script)
     assert first == second
+
+
+class _DroppedAtCall(ChatClient):
+    """Replays ``replies`` in order and raises a transport error at call ``failing``."""
+
+    def __init__(self, replies, failing):
+        self.replies = list(replies)
+        self.failing = failing
+        self.calls = 0
+
+    def chat(self, messages, exam_id=None):
+        self.calls += 1
+        if self.calls == self.failing:
+            raise ChatTransportError("chat request failed: verbindung abgebrochen")
+        return self.replies[self.calls - 1]
+
+    def identity(self):
+        return "dropped"
+
+
+@pytest.mark.parametrize(
+    "failing, attempts, sent",
+    [
+        pytest.param(1, 0, 2, id="first-guess"),
+        pytest.param(4, 1, 11, id="final-answer"),
+        pytest.param(5, 2, 13, id="reformat"),
+    ],
+)
+def test_grade_candidate_transport_error_keeps_the_conversation_so_far(rubric, small_corpus, failing, attempts, sent):
+    candidate = small_corpus.get("s-06")
+    script = build_few_shot_script(_items(small_corpus, (1, 3, 5)), "base", candidate, rubric)
+    replies = ["Schätzung 1", "Schätzung 2", "Schätzung 3", "kaputt"]
+    outcome = grade_candidate(_DroppedAtCall(replies, failing), script, retries=1)
+    assert outcome.error == "chat request failed: verbindung abgebrochen"
+    assert outcome.assessment is None
+    assert outcome.derived is None
+    assert not outcome.valid
+    assert outcome.attempts == attempts
+    assert outcome.guesses == tuple(replies[: min(failing - 1, 3)])
+    # The whole conversation: each round's guess before its reveal, then
+    # the final answer and the reformat request.
+    def user(kind):
+        return [{"role": "user", "content": t.content} for t in script.turns if isinstance(t, kind)]
+
+    said = [{"role": "assistant", "content": reply} for reply in replies]
+    conversation = [{"role": "system", "content": script.system}]
+    for round_turns in zip(user(CalibrationUser), said, user(RevealGold)):
+        conversation += round_turns
+    conversation += user(CandidateUser) + [said[3], {"role": "user", "content": reformat_instruction()}]
+    assert outcome.transcript == tuple(conversation[:sent])

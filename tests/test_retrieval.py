@@ -67,6 +67,21 @@ def test_fallback_embedding_rejects_empty(embedder):
         embedder.embed("   \n ")
 
 
+class _UnreachableEmbedder:
+    def embed(self, text):
+        raise EmbeddingError("embedding request failed: http://127.0.0.1:9 (connection refused)")
+
+
+def test_index_build_names_the_exam_and_task_of_a_failed_embedding(embedder):
+    records = [make_record(f"e-{i}", (2, 2, 2, 2), (3, 3, 3, 3)) for i in range(3)]
+    records[1] = make_record("e-1", (2, 2, 2, 2), (3, 3, 3, 3), body2="... -- !!!")
+    with pytest.raises(EmbeddingError, match=r"^exam 'e-1' task 2: cannot embed empty text$") as empty:
+        TaskTextIndex.build(make_corpus(records), embedder)
+    assert str(empty.value.__cause__) == "cannot embed empty text"
+    with pytest.raises(EmbeddingError, match=r"^exam 'e-0' task 1: embedding request failed: http://127\.0\.0\.1:9 "):
+        TaskTextIndex.build(make_corpus(records), _UnreachableEmbedder())
+
+
 def test_cosine_identity_and_orthogonal():
     assert cosine_similarity((1.0, 0.0), (1.0, 0.0)) == pytest.approx(1.0)
     assert cosine_similarity((1.0, 0.0), (0.0, 1.0)) == pytest.approx(0.0)

@@ -75,11 +75,11 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_context(args) -> int:
     cfg = load_config(args.config)
-    corpus, rubrics, manifest, plan, index = load_run_inputs(cfg)
-    candidate = corpus.get(args.candidate)
-    script, selection = build_candidate_script(cfg, corpus, index, rubrics, candidate, plan, manifest)
+    inputs = load_run_inputs(cfg)
+    candidate = inputs.corpus.get(args.candidate)
+    script, selection = build_candidate_script(inputs, candidate)
 
-    print(f"candidate: {candidate.id} ({candidate.year}/{candidate.pack}), technique: {plan.label}")
+    print(f"candidate: {candidate.id} ({candidate.year}/{candidate.pack}), technique: {inputs.plan.label}")
     if selection is not None:
         if not selection.entries:
             print("context: (empty)")

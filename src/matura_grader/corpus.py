@@ -204,10 +204,11 @@ def parse_record(data: dict) -> ExamRecord:
     return ExamRecord(id=exam_id, year=year, pack=pack, tasks=(tasks[0], tasks[1]), gold=gold)
 
 
-def validate_record(record: ExamRecord, half: str = HALF_TO_BETTER) -> ValidationResult:
+def validate_record(record: ExamRecord, half: str = HALF_TO_BETTER, trust_stored_grades: bool = False) -> ValidationResult:
     """Content validation: grade ranges, text types, stored-aggregate consistency.
 
-    Violations are data, not exceptions.
+    Violations are data, not exceptions. With ``trust_stored_grades`` the
+    stored aggregates are not compared with their recomputation.
     """
     violations: list[str] = []
     for position, (name, task) in enumerate(zip(TASKS, record.tasks), start=1):
@@ -224,8 +225,8 @@ def validate_record(record: ExamRecord, half: str = HALF_TO_BETTER) -> Validatio
             violations.append(f"grade out of range: {name} = {value}")
     if record.gold.final != FAIL and record.gold.final not in VALID_GRADES:
         violations.append(f"grade out of range: final = {record.gold.final}")
-    if violations:
-        return ValidationResult(False, tuple(violations))
+    if violations or trust_stored_grades:
+        return ValidationResult(not violations, tuple(violations))
 
     expected = aggregate(record.gold.sub_dimensions(), half)
     for name in SECTIONS:
@@ -266,12 +267,10 @@ def load_corpus(path: str | Path, trust_stored_grades: bool = False, half: str =
         if record.id in seen:
             errors.append(CorpusError(file.name, f"duplicate exam id {record.id!r}"))
             continue
-        result = validate_record(record, half)
+        result = validate_record(record, half, trust_stored_grades)
         if not result.ok:
-            consistency_only = all("inconsistent with recomputation" in v for v in result.violations)
-            if not (trust_stored_grades and consistency_only):
-                errors.append(CorpusError(file.name, "; ".join(result.violations)))
-                continue
+            errors.append(CorpusError(file.name, "; ".join(result.violations)))
+            continue
         seen.add(record.id)
         records.append(record)
     return Corpus(records=tuple(records), errors=tuple(errors))

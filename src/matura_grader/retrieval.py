@@ -407,7 +407,9 @@ def select_best_average_worst(
     pool = corpus.pool(year, pack)
     eligible = [r for r in pool if r.id != exclude_id]
     if len(eligible) < 3:
-        raise ValueError(f"need at least 3 exams in pack ({year}, {pack!r}), have {len(eligible)}")
+        besides = "" if exclude_id is None else f" besides {exclude_id!r}"
+        of_pool = "" if exclude_id is None else f" of {len(pool)}"
+        raise ValueError(f"need at least 3 exams in pack ({year}, {pack!r}){besides}, have {len(eligible)}{of_pool}")
 
     # Pack means are computed over the full pool so the notion of "average"
     # does not shift with the excluded candidate.

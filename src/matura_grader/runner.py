@@ -17,10 +17,10 @@ from collections import deque
 from collections.abc import Callable, Iterator
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack, closing
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import NamedTuple, TextIO
+from typing import TextIO
 
 from .clients import ChatClient, HttpChatClient, MockChatClient, parse_policy
 from .config import ConfigError, ExperimentConfig, TechniquePlan, config_hash, technique_plan
@@ -134,27 +134,20 @@ def calibration_items(
     return items
 
 
-def build_candidate_script(
-    cfg: ExperimentConfig,
-    corpus: Corpus,
-    index: TaskTextIndex | None,
-    rubrics: RubricSet,
-    candidate: ExamRecord,
-    plan: TechniquePlan,
-    manifest: dict[tuple[int, str], dict[int, str]] | None = None,
-) -> tuple[ConversationScript, ContextSelection | None]:
+def build_candidate_script(inputs: RunInputs, candidate: ExamRecord) -> tuple[ConversationScript, ContextSelection | None]:
     """The script ``run`` sends for ``candidate``, and for a zero-shot
     technique the context selection it sends: the built selection less the
     references the token budget dropped. Each selection warning is logged
     with the candidate's id."""
+    plan, rubrics, budget = inputs.plan, inputs.rubrics, inputs.cfg.token_budget
     if plan.zero_shot:
-        selection = build_context(corpus, index, candidate, plan.strategy)
+        selection = build_context(inputs.corpus, inputs.index, candidate, plan.strategy)
         for warning in selection.warnings:
             logger.warning("context for %s: %s", candidate.id, warning)
-        script = build_zero_shot(candidate, selection, rubrics, token_budget=cfg.token_budget)
+        script = build_zero_shot(candidate, selection, rubrics, token_budget=budget)
         return script, replace(selection, entries=selection.entries[: len(selection.entries) - script.dropped_context])
-    items = calibration_items(corpus, candidate, plan, manifest)
-    return build_few_shot_script(items, cfg.ordering, candidate, rubrics, cot=plan.cot, token_budget=cfg.token_budget), None
+    items = calibration_items(inputs.corpus, candidate, plan, inputs.manifest)
+    return build_few_shot_script(items, inputs.cfg.ordering, candidate, rubrics, cot=plan.cot, token_budget=budget), None
 
 
 def _outcome_record(outcome: GradeOutcome) -> dict:
@@ -175,9 +168,11 @@ def _outcome_record(outcome: GradeOutcome) -> dict:
     }
 
 
-class RunInputs(NamedTuple):
+@dataclass(frozen=True)
+class RunInputs:
     """What a run reads before its first chat call, built once per run."""
 
+    cfg: ExperimentConfig
     corpus: Corpus
     rubrics: RubricSet
     manifest: dict[tuple[int, str], dict[int, str]]
@@ -201,7 +196,7 @@ def load_run_inputs(cfg: ExperimentConfig, embedder=None) -> RunInputs:
     rubrics = load_rubrics(cfg.rubric_path)
     plan = technique_plan(cfg)
     index = TaskTextIndex.build(corpus, embedder or make_embedder(cfg)) if plan.needs_index else None
-    return RunInputs(corpus, rubrics, manifest, plan, index)
+    return RunInputs(cfg, corpus, rubrics, manifest, plan, index)
 
 
 def run_experiment(cfg: ExperimentConfig, client: ChatClient | None = None, embedder=None) -> EvaluationReport:
@@ -219,18 +214,18 @@ def run_experiment(cfg: ExperimentConfig, client: ChatClient | None = None, embe
     in the calling thread, one at a time; above it, a pool grades at most
     ``2 * runner.parallelism`` candidates ahead of the writer.
     """
-    corpus, rubrics, manifest, plan, index = load_run_inputs(cfg, embedder)
+    inputs = load_run_inputs(cfg, embedder)
     if client is None:
-        client = make_client(cfg, corpus)
+        client = make_client(cfg, inputs.corpus)
     if isinstance(client, HttpChatClient):
         client.preflight()
 
-    candidates = sorted(corpus.records, key=lambda r: r.id)
+    candidates = sorted(inputs.corpus.records, key=lambda r: r.id)
     started = datetime.now(timezone.utc)
 
     def grade_one(candidate: ExamRecord) -> GradeOutcome:
         try:
-            script, _ = build_candidate_script(cfg, corpus, index, rubrics, candidate, plan, manifest)
+            script, _ = build_candidate_script(inputs, candidate=candidate)
             return grade_candidate(client, script, retries=cfg.retries, half=cfg.round_half)
         except Exception as exc:  # crash isolation: one candidate must not sink the run
             logger.exception("candidate %s failed", candidate.id)
@@ -256,7 +251,7 @@ def run_experiment(cfg: ExperimentConfig, client: ChatClient | None = None, embe
             _write_outcome(out, predictions, outcome)
             outcomes.append(replace(outcome, transcript=(), guesses=()))
 
-    report = build_report(plan.label, outcomes, corpus)
+    report = build_report(inputs.plan.label, outcomes, inputs.corpus)
     _write_artifacts(cfg, report, client, started)
     return report
 

@@ -276,6 +276,14 @@ def test_validate_record_inconsistent_stored_final():
     assert any("stored final inconsistent with recomputation (expected 2" in v for v in result.violations)
 
 
+def test_validate_record_trusting_stored_grades_skips_only_the_recomputation():
+    record = make_record("trust", (2, 2, 2, 2), (2, 2, 2, 2))
+    inconsistent = replace(record, gold=replace(record.gold, k1=1, final=4))
+    assert validate_record(inconsistent, trust_stored_grades=True) == validate_record(record)
+    out_of_range = replace(inconsistent, gold=replace(inconsistent.gold, k2=0))
+    assert validate_record(out_of_range, trust_stored_grades=True).violations == ("grade out of range: k2 = 0",)
+
+
 def test_trust_stored_grades_keeps_inconsistent_record(tmp_path):
     record = make_record("t-1", (2, 2, 2, 2), (2, 2, 2, 2))
     doc = _record_json(record)

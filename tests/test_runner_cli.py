@@ -32,6 +32,7 @@ from matura_grader.prompts import (
 )
 from matura_grader.retrieval import FallbackEmbedder, TaskTextIndex
 from matura_grader.runner import (
+    RunInputs,
     build_candidate_script,
     calibration_items,
     load_run_inputs,
@@ -84,8 +85,9 @@ def test_range_context_covers_all_grades(synthetic_dirs_25, corpus_25, tmp_path)
     plan = technique_plan(cfg)
     index = TaskTextIndex.build(corpus_25, FallbackEmbedder(cfg.embedding_dim))
     rubrics = __import__("matura_grader.corpus", fromlist=["load_rubrics"]).load_rubrics(rubric_dir)
+    inputs = RunInputs(cfg, corpus_25, rubrics, {}, plan, index)
     for candidate in corpus_25.records[:8]:
-        _, selection = build_candidate_script(cfg, corpus_25, index, rubrics, candidate, plan)
+        _, selection = build_candidate_script(inputs, candidate)
         for position, counts in selection.coverage.items():
             available = {
                 r.gold.final_as_grade() for r in corpus_25.pool(candidate.year, candidate.pack)
@@ -273,6 +275,24 @@ def test_transport_failure_is_isolated(synthetic_dirs_25, corpus_25, tmp_path):
     assert report.invalid_count == 1
     transcript = json.loads((tmp_path / "out" / "transcripts" / f"{broken}.json").read_text())
     assert transcript["error"]
+
+
+def test_run_with_packs_too_small_for_best_average_worst_errors_every_candidate(tmp_path):
+    # Four exams in two packs of two: leaving the candidate out leaves one
+    # exam where best/average/worst needs three. The run still completes.
+    exam_dir, rubric_dir = make_synthetic(tmp_path / "tiny", n=4, seed=1)
+    cfg = _cfg(exam_dir, rubric_dir, tmp_path / "out", technique="rag_best_avg_worst")
+    report = run_experiment(cfg)
+    ids = ("exam-001", "exam-002", "exam-003", "exam-004")
+    assert (report.n, report.invalid_count, report.errored) == (0, 4, ids)
+    packs = dict(zip(ids, [(2023, "pack-a"), (2024, "pack-b")] * 2))
+    lines = (tmp_path / "out" / "predictions.jsonl").read_text(encoding="utf-8").splitlines()
+    assert {json.loads(line)["id"]: json.loads(line)["error"] for line in lines} == {
+        exam_id: f"internal: need at least 3 exams in pack {packs[exam_id]} besides {exam_id!r}, have 1 of 2"
+        for exam_id in ids
+    }
+    metrics = (tmp_path / "out" / "metrics.csv").read_text(encoding="utf-8").splitlines()
+    assert metrics[1] == "RAG-best-worst,final,,,,,0,4"
 
 
 @pytest.fixture(scope="module")
@@ -642,14 +662,13 @@ def test_candidate_script_selection_renders_to_the_references_it_sends(
     plan = technique_plan(cfg)
     index = TaskTextIndex.build(corpus_25, FallbackEmbedder(cfg.embedding_dim))
     candidate = corpus_25.get("exam-003")
-    unlimited, built = build_candidate_script(cfg, corpus_25, index, rubrics_25, candidate, plan)
+    inputs = RunInputs(cfg, corpus_25, rubrics_25, {}, plan, index)
+    unlimited, built = build_candidate_script(inputs, candidate)
     assert unlimited.dropped_context == 0
     full = (len(unlimited.system) + len(unlimited.turns[0].content)) // 4
     seen = set()
     for budget in range(full, 0, -25):
-        script, selection = build_candidate_script(
-            replace(cfg, token_budget=budget), corpus_25, index, rubrics_25, candidate, plan
-        )
+        script, selection = build_candidate_script(replace(inputs, cfg=replace(cfg, token_budget=budget)), candidate)
         blocks = render_context_blocks(selection, candidate)
         assert script.turns[0].content == "\n\n".join(
             ([context_intro(), *blocks] if blocks else []) + [render_candidate_block(candidate)]
@@ -920,6 +939,7 @@ def test_load_run_inputs_embeds_only_for_an_index(technique, builds_index, synth
     cfg = _cfg(exam_dir, rubric_dir, tmp_path / "out", technique=technique)
     embedder = _CountingEmbedder(cfg.embedding_dim)
     inputs = load_run_inputs(cfg, embedder)
+    assert inputs.cfg is cfg
     assert inputs.plan == technique_plan(cfg)
     if builds_index:
         assert len(embedder.texts) == 2 * len(corpus_25.records)

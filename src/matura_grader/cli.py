@@ -25,6 +25,13 @@ EXIT_VALIDATION = 1
 EXIT_FATAL = 2
 
 
+def _print_tables(report) -> None:
+    """The QWK row, then the accuracy row, under the header of ``report.md``'s QWK table."""
+    print("Technique & Grade & Task 1 dimensions & Task 2 dimensions")
+    print(qwk_table_row(report))
+    print(accuracy_table_row(report))
+
+
 def _cmd_run(args) -> int:
     if args.print_defaults:
         print(format_defaults(), end="")
@@ -36,8 +43,7 @@ def _cmd_run(args) -> int:
     report = run_experiment(cfg)
     print(f"technique: {report.technique}")
     print(f"graded: {report.n} valid, {report.invalid_count} invalid")
-    print(qwk_table_row(report))
-    print(accuracy_table_row(report))
+    _print_tables(report)
     print(f"artifacts written to {cfg.output_dir}")
     return EXIT_OK
 
@@ -67,9 +73,7 @@ def _cmd_metrics(args) -> int:
         emit_report(report, args.out)
         print(f"report written to {args.out}")
     print(f"graded: {report.n} valid, {report.invalid_count} invalid")
-    print("Technique & Grade & Task 1 dimensions & Task 2 dimensions")
-    print(qwk_table_row(report))
-    print(accuracy_table_row(report))
+    _print_tables(report)
     return EXIT_OK
 
 

@@ -65,7 +65,14 @@ def post_json(endpoint: str, payload: dict, timeout: float, error: type[Exceptio
 
 
 class ChatClient:
-    """Interface: ``chat(messages, exam_id=None) -> str`` (assistant text)."""
+    """Interface: ``chat(messages, exam_id=None) -> str`` (assistant text).
+
+    ``reads_exam_id`` says whether a reply may depend on ``exam_id`` and not
+    only on the messages. A run shares one reply among identical calibration
+    guess requests of different candidates only when it is false, so the
+    default is true."""
+
+    reads_exam_id = True
 
     def chat(self, messages: list[dict[str, str]], exam_id: str | None = None) -> str:
         raise NotImplementedError
@@ -75,6 +82,9 @@ class ChatClient:
 
 
 class HttpChatClient(ChatClient):
+    # A request carries the messages, the model and a fixed seed, and no exam id.
+    reads_exam_id = False
+
     def __init__(
         self,
         base_url: str,
@@ -184,6 +194,10 @@ class MockChatClient(ChatClient):
         self.policy = policy
         self.grade = grade
         self.corpus = corpus
+
+    @property
+    def reads_exam_id(self) -> bool:
+        return self.policy == ECHO_GOLD
 
     def chat(self, messages: list[dict[str, str]], exam_id: str | None = None) -> str:
         if self.policy == ALWAYS_GRADE:

@@ -5,14 +5,18 @@ candidate's two tasks into a single user message. Few-shot scripts walk the
 model through calibration rounds — guess the grades of a reference text,
 receive the true grades — in a configurable grade order before the
 candidate is presented. The candidate's own gold grades never enter any
-outbound message.
+outbound message. Within a run, identical guess requests of different
+candidates share one chat call (``GuessTable``).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import re
+import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from .clients import ChatClient, ChatTransportError
@@ -340,34 +344,99 @@ class GradeOutcome:
         return self.error is None and self.assessment is not None and self.assessment.valid
 
 
+def _chained(key: bytes, messages: list[dict[str, str]]) -> bytes:
+    """``key`` extended by ``messages``, one sha256 per message."""
+    for message in messages:
+        text = f"{message['role']}\0{message['content']}"
+        key = hashlib.sha256(key + text.encode("utf-8", "surrogatepass")).digest()
+    return key
+
+
+class GuessTable:
+    """The calibration guesses of one run: one chat call per distinct request.
+
+    A guess request is keyed by the request the client sees: a sha256 chain
+    over its messages, which starts from the candidate's exam id when the
+    client reads it (``ChatClient.reads_exam_id``), so such keys never match
+    across candidates. The first candidate to need a key sends the request.
+    A candidate needing a key that is answered reuses the reply, and one
+    needing a key in flight waits for it, so the number of calls does not
+    depend on thread timing. A failed call is not shared: its candidate gets
+    the error, and a candidate that waited for it asks again. The table holds
+    digests and replies, no prompt text, and drops a key seeded with an exam
+    id once it is answered, so such a run holds nothing per candidate.
+    """
+
+    def __init__(self) -> None:
+        self.reused = 0
+        self._replies: dict[bytes, Future] = {}
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def first_key(client: ChatClient, exam_id: str) -> bytes:
+        """The key a conversation's chain starts from."""
+        return hashlib.sha256(exam_id.encode("utf-8", "surrogatepass")).digest() if client.reads_exam_id else b""
+
+    def guess(self, client: ChatClient, key: bytes, messages: list[dict[str, str]], exam_id: str) -> str:
+        """The reply to ``messages``, whose key is ``key``."""
+        with self._lock:
+            pending = self._replies.get(key)
+            owner = pending is None
+            if owner:
+                pending = self._replies[key] = Future()
+        if not owner:
+            reply = pending.result()
+            if reply is None:  # the owner's call failed
+                return self.guess(client, key, messages, exam_id)
+            with self._lock:
+                self.reused += 1
+            return reply
+        reply = None
+        try:
+            reply = client.chat(messages, exam_id=exam_id)
+        finally:
+            if reply is None or client.reads_exam_id:
+                with self._lock:
+                    del self._replies[key]
+            pending.set_result(reply)
+        return reply
+
+
 def grade_candidate(
     client: ChatClient,
     script: ConversationScript,
     retries: int = 0,
     half: str = HALF_TO_BETTER,
+    guess_table: GuessTable | None = None,
 ) -> GradeOutcome:
     """Drive one conversation through the client and parse the result.
 
-    The model's guess is requested before each ``RevealGold`` turn and
-    recorded verbatim; an unparseable final answer is retried with a
-    reformat instruction up to ``retries`` times and otherwise counted as
-    invalid. Transport failures yield an errored outcome with the partial
-    transcript.
+    The model's guess is requested before each ``RevealGold`` turn, through
+    ``guess_table`` (a fresh one by default), and recorded verbatim; an
+    unparseable final answer is retried with a reformat instruction up to
+    ``retries`` times and otherwise counted as invalid. Transport failures
+    yield an errored outcome with the partial transcript.
     """
+    if guess_table is None:
+        guess_table = GuessTable()
     messages: list[dict[str, str]] = [{"role": "system", "content": script.system}]
+    key, hashed = guess_table.first_key(client, script.candidate_id), 0  # the chain covers messages[:hashed]
     guesses: list[str] = []
     attempts = 0
     error: str | None = None
 
-    def call() -> str:
-        reply = client.chat(messages, exam_id=script.candidate_id)
+    def answer(reply: str) -> str:
         messages.append({"role": "assistant", "content": reply})
         return reply
+
+    def call() -> str:
+        return answer(client.chat(messages, exam_id=script.candidate_id))
 
     try:
         for turn in script.turns:
             if isinstance(turn, RevealGold):
-                guesses.append(call())
+                key, hashed = _chained(key, messages[hashed:]), len(messages)
+                guesses.append(answer(guess_table.guess(client, key, messages, script.candidate_id)))
             messages.append({"role": "user", "content": turn.content})
         attempts = 1
         assessment = parse_assessment(call())

@@ -31,6 +31,7 @@ from .orchestrator import (
     CalibrationItem,
     ConversationScript,
     GradeOutcome,
+    GuessTable,
     ModelAssessment,
     build_few_shot_script,
     build_zero_shot,
@@ -204,7 +205,9 @@ def run_experiment(cfg: ExperimentConfig, client: ChatClient | None = None, embe
 
     ``client``/``embedder`` can be injected (tests, fixtures); otherwise they
     are built from the configuration. A failing candidate never aborts the
-    run; it is recorded as errored.
+    run; it is recorded as errored. Identical calibration guess requests of
+    different candidates share one chat call through the run's
+    ``GuessTable``.
 
     Outcomes are consumed in candidate order as they are graded: each
     candidate's transcript and prediction line are written at once, and only
@@ -221,12 +224,13 @@ def run_experiment(cfg: ExperimentConfig, client: ChatClient | None = None, embe
         client.preflight()
 
     candidates = sorted(inputs.corpus.records, key=lambda r: r.id)
+    guess_table = GuessTable()
     started = datetime.now(timezone.utc)
 
     def grade_one(candidate: ExamRecord) -> GradeOutcome:
         try:
             script, _ = build_candidate_script(inputs, candidate=candidate)
-            return grade_candidate(client, script, retries=cfg.retries, half=cfg.round_half)
+            return grade_candidate(client, script, retries=cfg.retries, half=cfg.round_half, guess_table=guess_table)
         except Exception as exc:  # crash isolation: one candidate must not sink the run
             logger.exception("candidate %s failed", candidate.id)
             return GradeOutcome(candidate.id, None, None, transcript=(), error=f"internal: {exc}")
@@ -252,7 +256,7 @@ def run_experiment(cfg: ExperimentConfig, client: ChatClient | None = None, embe
             outcomes.append(replace(outcome, transcript=(), guesses=()))
 
     report = build_report(inputs.plan.label, outcomes, inputs.corpus)
-    _write_artifacts(cfg, report, client, started)
+    _write_artifacts(cfg, report, client, started, guess_table.reused)
     return report
 
 
@@ -307,9 +311,11 @@ def _write_artifacts(
     report: EvaluationReport,
     client: ChatClient,
     started: datetime,
+    reused_guesses: int,
 ) -> None:
     """The run-level files: metrics and report, ``predictions.jsonl`` from
-    its partial file, and ``run_meta.json``."""
+    its partial file, and ``run_meta.json``, which also records how many
+    guesses were served from the run's ``GuessTable``."""
     out = Path(cfg.output_dir)
     digest = config_hash(cfg)
     emit_report(report, out, config_hash=digest)
@@ -325,6 +331,7 @@ def _write_artifacts(
         "n": report.n,
         "invalid_count": report.invalid_count,
         "errored": list(report.errored),
+        "reused_guesses": reused_guesses,
         "transcripts": "transcripts/",
     }
     (out / "run_meta.json").write_text(

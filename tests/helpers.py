@@ -9,6 +9,7 @@ import json
 import threading
 from collections import deque
 from dataclasses import asdict
+from pathlib import Path
 
 from matura_grader.clients import ChatClient
 from matura_grader.corpus import Corpus, ExamRecord
@@ -61,3 +62,9 @@ def reference_ids(selection: ContextSelection) -> tuple[str, ...]:
         if not entry.is_noise and entry.exam_id not in seen:
             seen.append(entry.exam_id)
     return tuple(seen)
+
+
+def artifact_bytes(out: Path) -> dict[str, bytes]:
+    """A run's deterministic artifacts: metrics, predictions and transcripts."""
+    files = [out / "metrics.csv", out / "predictions.jsonl", *sorted((out / "transcripts").iterdir())]
+    return {path.relative_to(out).as_posix(): path.read_bytes() for path in files}

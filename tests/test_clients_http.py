@@ -7,7 +7,9 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from matura_grader.clients import ChatTransportError, HttpChatClient
+from matura_grader.config import config_from_values
 from matura_grader.retrieval import EmbeddingError, RemoteEmbedder
+from matura_grader.runner import run_experiment
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -88,6 +90,25 @@ def test_chat_client_protocol(stub_server):
     assert payload["stream"] is False
     assert payload["options"] == {"temperature": 0.25, "seed": 11}
     assert payload["messages"] == messages
+
+
+def test_a_few_shot_run_posts_each_distinct_request_once(stub_server, synthetic_dirs_25, tmp_path):
+    exam_dir, rubric_dir = synthetic_dirs_25
+    out = tmp_path / "out"
+    values = {"corpus.path": exam_dir, "rubric.path": rubric_dir, "output.dir": out, "technique": "few_mixed"}
+    values.update({"client.kind": "http", "client.base_url": stub_server, "client.model": "m", "runner.parallelism": 2})
+    run_experiment(config_from_values({key: str(value) for key, value in values.items()}))
+
+    posted = [json.dumps(payload["messages"], sort_keys=True) for path, payload in _Handler.requests_seen if path == "/api/chat"]
+    # Every request a transcript records: the messages before each reply.
+    requests = set()
+    for transcript in (out / "transcripts").iterdir():
+        messages = json.loads(transcript.read_text(encoding="utf-8"))["messages"]
+        requests.update(json.dumps(messages[:i], sort_keys=True) for i, m in enumerate(messages) if m["role"] == "assistant")
+    assert sorted(posted) == sorted(requests)
+    assert len(posted) < 25 * 9
+    meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
+    assert meta["reused_guesses"] == 25 * 9 - len(posted)
 
 
 def test_chat_client_error_status(stub_server):

@@ -41,6 +41,8 @@ from matura_grader.runner import (
 )
 from matura_grader.synthetic import make_synthetic
 
+from helpers import artifact_bytes
+
 
 def _cfg(exam_dir, rubric_dir, out_dir, **overrides):
     values = {
@@ -110,12 +112,6 @@ def test_runs_are_byte_deterministic(synthetic_dirs_25, tmp_path):
     )
 
 
-def _artifact_bytes(out: Path) -> dict[str, bytes]:
-    """The deterministic artifacts: metrics, predictions and transcripts."""
-    files = [out / "metrics.csv", out / "predictions.jsonl", *sorted((out / "transcripts").iterdir())]
-    return {path.relative_to(out).as_posix(): path.read_bytes() for path in files}
-
-
 def test_parallel_run_matches_serial(synthetic_dirs_25, tmp_path):
     exam_dir, rubric_dir = synthetic_dirs_25
     serial = _cfg(exam_dir, rubric_dir, tmp_path / "serial", **{"client.policy": "echo_gold"})
@@ -126,9 +122,9 @@ def test_parallel_run_matches_serial(synthetic_dirs_25, tmp_path):
     run_experiment(serial)
     run_experiment(parallel)
     assert (tmp_path / "serial" / "metrics.csv").read_bytes() == (tmp_path / "parallel" / "metrics.csv").read_bytes()
-    serial_files = _artifact_bytes(tmp_path / "serial")
+    serial_files = artifact_bytes(tmp_path / "serial")
     assert len(serial_files) == 2 + 25
-    assert _artifact_bytes(tmp_path / "parallel") == serial_files
+    assert artifact_bytes(tmp_path / "parallel") == serial_files
     for out in ("serial", "parallel"):
         assert not (tmp_path / out / "predictions.jsonl.partial").exists()
 
@@ -295,6 +291,26 @@ def test_run_with_packs_too_small_for_best_average_worst_errors_every_candidate(
     assert metrics[1] == "RAG-best-worst,final,,,,,0,4"
 
 
+def test_cli_run_prints_the_table_header_that_metrics_prints(tmp_path, capsys):
+    # With no valid candidate the QWK row and the accuracy row read alike.
+    exam_dir, rubric_dir = make_synthetic(tmp_path / "tiny", n=4, seed=1)
+    out = tmp_path / "out"
+    config_file = tmp_path / "exp.conf"
+    config_file.write_text(
+        f"corpus.path = {exam_dir}\nrubric.path = {rubric_dir}\noutput.dir = {out}\ntechnique = rag_best_avg_worst\n",
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(config_file)]) == 0
+    run_lines = capsys.readouterr().out.splitlines()
+    argv = ["metrics", "--pred", str(out / "predictions.jsonl"), "--gold", str(exam_dir)]
+    assert main(argv + ["--technique", "RAG-best-worst"]) == 0
+    table = capsys.readouterr().out.splitlines()[-3:]
+    assert table[0] == "Technique & Grade & Task 1 dimensions & Task 2 dimensions"
+    assert table[1] == table[2] == "RAG-best-worst & — & —/—/—/— & —/—/—/—"
+    header = run_lines.index(table[0])
+    assert run_lines[header : header + 3] == table
+
+
 @pytest.fixture(scope="module")
 def faults_run(tmp_path_factory):
     """A 12-exam corpus and its clean echo-gold ``baseline`` run."""
@@ -339,7 +355,7 @@ def test_a_run_under_faults_completes_and_keeps_every_other_candidate(faults_run
         argv = ["metrics", "--pred", str(out / "predictions.jsonl"), "--gold", str(exam_dir)]
         assert main(argv + ["--technique", report.technique, "--out", str(root / f"rescored{parallelism}")]) == 0
         assert (root / f"rescored{parallelism}" / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
-        runs[parallelism] = _artifact_bytes(out)
+        runs[parallelism] = artifact_bytes(out)
     assert runs[4] == runs[1]
 
 

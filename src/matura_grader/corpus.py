@@ -5,6 +5,9 @@ Records are validated on load — structural problems and grades inconsistent
 with the grading arithmetic are reported per file and excluded — and the
 resulting corpus is immutable.
 
+An exam's id names its transcript file, so it must be one file name: not
+empty, and holding no ``/``, ``\\`` or NUL.
+
 Exam schema::
 
     {"id": str, "year": int, "pack": str,
@@ -180,6 +183,8 @@ def _parse_task_grades(data: dict, where: str) -> TaskGrades:
 def parse_record(data: dict) -> ExamRecord:
     """Structural parse of one exam JSON document. Raises ValueError."""
     exam_id = _require(data, "id", str, "")
+    if not exam_id or any(c in exam_id for c in "/\\\0"):
+        raise ValueError(f"exam id {exam_id!r} must be one file name: not empty, no '/', '\\' or NUL")
     year = _require(data, "year", int, "")
     pack = _require(data, "pack", str, "")
     tasks_raw = _require(data, "tasks", list, "")

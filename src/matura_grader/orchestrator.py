@@ -11,7 +11,6 @@ candidates share one chat call (``GuessTable``).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import re
@@ -344,41 +343,31 @@ class GradeOutcome:
         return self.error is None and self.assessment is not None and self.assessment.valid
 
 
-def _chained(key: bytes, messages: list[dict[str, str]]) -> bytes:
-    """``key`` extended by ``messages``, one sha256 per message."""
-    for message in messages:
-        text = f"{message['role']}\0{message['content']}"
-        key = hashlib.sha256(key + text.encode("utf-8", "surrogatepass")).digest()
-    return key
-
-
 class GuessTable:
     """The calibration guesses of one run: one chat call per distinct request.
 
-    A guess request is keyed by the request the client sees: a sha256 chain
-    over its messages, which starts from the candidate's exam id when the
-    client reads it (``ChatClient.reads_exam_id``), so such keys never match
-    across candidates. The first candidate to need a key sends the request.
-    A candidate needing a key that is answered reuses the reply, and one
-    needing a key in flight waits for it, so the number of calls does not
-    depend on thread timing. A failed call is not shared: its candidate gets
-    the error, and a candidate that waited for it asks again. The table holds
-    digests and replies, no prompt text, and drops a key seeded with an exam
-    id once it is answered, so such a run holds nothing per candidate.
+    A client whose reply depends on the messages alone shares its guesses:
+    a guess request is keyed by the request itself, its messages' roles and
+    contents. A client that reads the exam id (``ChatClient.reads_exam_id``)
+    is called directly and never enters the table. The first candidate to
+    need a key sends the request. A candidate needing a key that is answered
+    reuses the reply, and one needing a key in flight waits for it, so the
+    number of calls does not depend on thread timing. A failed call is not
+    shared: its candidate gets the error, and a candidate that waited for it
+    asks again. The table holds one entry per distinct request, which stays
+    flat in the number of candidates.
     """
 
     def __init__(self) -> None:
         self.reused = 0
-        self._replies: dict[bytes, Future] = {}
+        self._replies: dict[tuple[tuple[str, str], ...], Future] = {}
         self._lock = threading.Lock()
 
-    @staticmethod
-    def first_key(client: ChatClient, exam_id: str) -> bytes:
-        """The key a conversation's chain starts from."""
-        return hashlib.sha256(exam_id.encode("utf-8", "surrogatepass")).digest() if client.reads_exam_id else b""
-
-    def guess(self, client: ChatClient, key: bytes, messages: list[dict[str, str]], exam_id: str) -> str:
-        """The reply to ``messages``, whose key is ``key``."""
+    def guess(self, client: ChatClient, messages: list[dict[str, str]], exam_id: str) -> str:
+        """The reply to ``messages``, sent for the candidate ``exam_id``."""
+        if client.reads_exam_id:
+            return client.chat(messages, exam_id=exam_id)
+        key = tuple((m["role"], m["content"]) for m in messages)
         with self._lock:
             pending = self._replies.get(key)
             owner = pending is None
@@ -387,7 +376,7 @@ class GuessTable:
         if not owner:
             reply = pending.result()
             if reply is None:  # the owner's call failed
-                return self.guess(client, key, messages, exam_id)
+                return self.guess(client, messages, exam_id)
             with self._lock:
                 self.reused += 1
             return reply
@@ -395,7 +384,7 @@ class GuessTable:
         try:
             reply = client.chat(messages, exam_id=exam_id)
         finally:
-            if reply is None or client.reads_exam_id:
+            if reply is None:
                 with self._lock:
                     del self._replies[key]
             pending.set_result(reply)
@@ -412,15 +401,16 @@ def grade_candidate(
     """Drive one conversation through the client and parse the result.
 
     The model's guess is requested before each ``RevealGold`` turn, through
-    ``guess_table`` (a fresh one by default), and recorded verbatim; an
-    unparseable final answer is retried with a reformat instruction up to
-    ``retries`` times and otherwise counted as invalid. Transport failures
-    yield an errored outcome with the partial transcript.
+    ``guess_table`` (a fresh one by default), which shares it with every
+    other candidate that sends the same messages unless the client reads
+    exam ids. Each guess is recorded verbatim; an unparseable final answer
+    is retried with a reformat instruction up to ``retries`` times and
+    otherwise counted as invalid. Transport failures yield an errored
+    outcome with the partial transcript.
     """
     if guess_table is None:
         guess_table = GuessTable()
     messages: list[dict[str, str]] = [{"role": "system", "content": script.system}]
-    key, hashed = guess_table.first_key(client, script.candidate_id), 0  # the chain covers messages[:hashed]
     guesses: list[str] = []
     attempts = 0
     error: str | None = None
@@ -435,8 +425,7 @@ def grade_candidate(
     try:
         for turn in script.turns:
             if isinstance(turn, RevealGold):
-                key, hashed = _chained(key, messages[hashed:]), len(messages)
-                guesses.append(answer(guess_table.guess(client, key, messages, script.candidate_id)))
+                guesses.append(answer(guess_table.guess(client, messages, script.candidate_id)))
             messages.append({"role": "user", "content": turn.content})
         attempts = 1
         assessment = parse_assessment(call())

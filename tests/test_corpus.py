@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import matura_grader
 from matura_grader import corpus as corpus_module
+from matura_grader.cli import main
 from matura_grader.corpus import (
     TEXT_TYPES,
     Corpus,
@@ -249,6 +250,28 @@ def test_load_corpus_rejects_duplicate_ids(tmp_path, synthetic_dirs_30):
     corpus = load_corpus(target)
     assert len(corpus.records) == 1
     assert "duplicate exam id" in corpus.errors[0].reason
+
+
+@pytest.mark.parametrize("bad_id", ["", "../../escaped", "sub/exam-004", "sub\\exam-004", "exam\0004"])
+def test_an_exam_id_that_is_not_one_file_name_is_skipped(bad_id, tmp_path, synthetic_dirs_30, capsys):
+    exam_dir, _ = synthetic_dirs_30
+    target = tmp_path / "ids"
+    target.mkdir()
+    good, victim = sorted(exam_dir.glob("*.json"))[:2]
+    shutil.copy(good, target / good.name)
+    data = json.loads(victim.read_text(encoding="utf-8"))
+    data["id"] = bad_id
+    (target / victim.name).write_text(json.dumps(data), encoding="utf-8")
+
+    with pytest.raises(ValueError, match=re.escape(repr(bad_id))):
+        parse_record(data)
+    corpus = load_corpus(target)
+    assert [record.id for record in corpus.records] == [json.loads(good.read_text(encoding="utf-8"))["id"]]
+    assert [(error.file, error.reason) for error in corpus.errors] == [
+        (victim.name, f"exam id {bad_id!r} must be one file name: not empty, no '/', '\\' or NUL")
+    ]
+    assert main(["validate-corpus", str(target)]) == 1
+    assert f"error: {victim.name}: exam id {bad_id!r}" in capsys.readouterr().out
 
 
 def test_validate_record_uniform_ok():

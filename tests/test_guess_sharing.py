@@ -18,6 +18,7 @@ from dataclasses import replace
 
 import pytest
 
+from matura_grader import runner
 from matura_grader.clients import ChatClient, ChatTransportError, HttpChatClient, MockChatClient, parse_policy
 from matura_grader.config import config_from_values
 from matura_grader.orchestrator import GuessTable, RevealGold, build_few_shot_script, grade_candidate
@@ -135,6 +136,23 @@ def test_a_run_sends_each_distinct_guess_request_once(parallelism, synthetic_dir
 
 
 @pytest.mark.parametrize("parallelism", [1, 4])
+def test_a_run_table_holds_one_entry_per_distinct_guess_request(parallelism, synthetic_dirs_25, tmp_path, monkeypatch):
+    exam_dir, rubric_dir = synthetic_dirs_25
+    cfg = _cfg(exam_dir, rubric_dir, tmp_path / "out", "few_mixed", parallelism)
+    _, prefixes = _guess_prefixes(cfg)
+    tables: list[GuessTable] = []
+
+    def recording_table() -> GuessTable:
+        tables.append(GuessTable())
+        return tables[-1]
+
+    monkeypatch.setattr(runner, "GuessTable", recording_table)
+    run_experiment(cfg, client=_Counting("keyword_heuristic"))
+    (table,) = tables
+    assert len(table._replies) == len(prefixes)
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
 def test_a_failed_shared_guess_errors_only_the_candidate_that_sent_it(parallelism, synthetic_dirs_25, tmp_path):
     exam_dir, rubric_dir = synthetic_dirs_25
     clean_out, out = tmp_path / "clean", tmp_path / "faulty"
@@ -208,14 +226,14 @@ def test_guess_table_calls_each_key_once_under_contention():
     # both taking a key as theirs would show as a second call.
     client = _Echo(delay=0.001)
     table = GuessTable()
-    keys = [k.to_bytes(32, "big") for k in range(100)]
+    requests = [[{"role": "user", "content": str(k)}] for k in range(100)]
     threads_n = 16
     replies: list[tuple[int, str]] = []
     lock = threading.Lock()
 
     def worker(exam_id: str) -> None:
-        for k, key in enumerate(keys):
-            reply = table.guess(client, key, [{"role": "user", "content": str(k)}], exam_id)
+        for k, messages in enumerate(requests):
+            reply = table.guess(client, messages, exam_id)
             with lock:
                 replies.append((k, reply))
 
@@ -230,10 +248,10 @@ def test_guess_table_calls_each_key_once_under_contention():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert len(replies) == threads_n * len(keys)
+    assert len(replies) == threads_n * len(requests)
     assert all(reply == f"re: {k}" for k, reply in replies)
-    assert client.calls == {str(k): 1 for k in range(len(keys))}
-    assert table.reused == (threads_n - 1) * len(keys)
+    assert client.calls == {str(k): 1 for k in range(len(requests))}
+    assert table.reused == (threads_n - 1) * len(requests)
 
 
 def test_a_candidate_waiting_on_a_failed_guess_sends_it_itself():
@@ -252,12 +270,12 @@ def test_a_candidate_waiting_on_a_failed_guess_sends_it_itself():
 
     client = _FirstCallFails()
     table = GuessTable()
-    key, messages = b"k" * 32, [{"role": "user", "content": "Schätze."}]
+    messages = [{"role": "user", "content": "Schätze."}]
     results: dict[str, object] = {}
 
     def ask(exam_id: str) -> None:
         try:
-            results[exam_id] = table.guess(client, key, messages, exam_id)
+            results[exam_id] = table.guess(client, messages, exam_id)
         except ChatTransportError as exc:
             results[exam_id] = exc
 
@@ -276,7 +294,7 @@ def test_a_candidate_waiting_on_a_failed_guess_sends_it_itself():
     assert isinstance(results["exam-a"], ChatTransportError)
     assert results["exam-b"] == "re: Schätze."
     assert client.calls == {"Schätze.": 2} and table.reused == 0
-    assert table.guess(client, key, messages, "exam-c") == "re: Schätze."
+    assert table.guess(client, messages, "exam-c") == "re: Schätze."
     assert client.calls == {"Schätze.": 2} and table.reused == 1
 
 
@@ -286,13 +304,22 @@ def test_only_a_client_whose_replies_depend_on_the_messages_alone_shares():
     assert not HttpChatClient("http://127.0.0.1:9", model="m").reads_exam_id
     assert not MockChatClient("keyword_heuristic").reads_exam_id
     assert not MockChatClient("always_grade", grade=2).reads_exam_id
-    # Keys start from the exam id only for a client that reads it.
-    assert GuessTable.first_key(reader, "exam-a") != GuessTable.first_key(reader, "exam-b")
-    assert GuessTable.first_key(_Echo(), "exam-a") == GuessTable.first_key(_Echo(), "exam-b")
+    # A client that reads exam ids is called once per request and never enters the table.
+    table = GuessTable()
+    messages = [{"role": "user", "content": "Schätze."}]
+    for exam_id in ("exam-a", "exam-b", "exam-a"):
+        assert table.guess(reader, messages, exam_id) == "re: Schätze."
+    assert reader.inner.calls == {"Schätze.": 3}
+    assert table._replies == {} and table.reused == 0
+    # The same contents under another role are another request.
+    echo = _Echo()
+    for role in ("user", "assistant", "user"):
+        assert table.guess(echo, [{"role": role, "content": "Schätze."}], "exam-a") == "re: Schätze."
+    assert echo.calls == {"Schätze.": 2} and table.reused == 1
 
 
 def test_a_table_keeps_no_guess_of_a_client_that_reads_exam_ids(corpus_25, rubrics_25):
-    # Such keys match no other candidate, so keeping them would only grow the table with n.
+    # Its requests are sent directly, so the table never grows with n.
     cfg = config_from_values({"technique": "few_mixed"})
     client = _ReadsExamIds(_Echo())
     table = GuessTable()

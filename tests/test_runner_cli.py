@@ -273,6 +273,21 @@ def test_transport_failure_is_isolated(synthetic_dirs_25, corpus_25, tmp_path):
     assert transcript["error"]
 
 
+def test_a_run_over_ids_that_are_not_file_names_writes_only_inside_its_output_dir(tmp_path):
+    exam_dir, rubric_dir = make_synthetic(tmp_path / "data", n=12, seed=3)
+    for name, bad_id in (("exam-003.json", "../../escaped"), ("exam-004.json", "sub/exam-004")):
+        data = json.loads((exam_dir / name).read_text(encoding="utf-8"))
+        data["id"] = bad_id
+        (exam_dir / name).write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "run" / "out"
+    before = set(tmp_path.rglob("*"))
+    report = run_experiment(_cfg(exam_dir, rubric_dir, out, **{"client.policy": "echo_gold"}))
+    assert report.n == 10 and report.errored == ()
+    assert {path for path in tmp_path.rglob("*") if out not in path.parents and path != out} == before | {out.parent}
+    assert len(list((out / "transcripts").iterdir())) == 10
+    assert (out / "metrics.csv").is_file() and (out / "predictions.jsonl").is_file()
+
+
 def test_run_with_packs_too_small_for_best_average_worst_errors_every_candidate(tmp_path):
     # Four exams in two packs of two: leaving the candidate out leaves one
     # exam where best/average/worst needs three. The run still completes.

@@ -1,19 +1,28 @@
-"""Chat-completion clients.
+"""Chat-completion clients and their HTTP transport.
 
 ``HttpChatClient`` speaks the ``POST {base_url}/api/chat`` protocol of
 common local inference servers. The mock clients make the whole grading
 pipeline runnable and deterministic offline; ``exam_id`` is passed along
 with each conversation so the echo_gold policy can look up the right gold
 sheet without the grades ever entering a prompt.
+
+``Connections`` is the one HTTP path, shared by the chat client and the
+remote embedder: ``http.client`` connections kept open between requests, one
+per thread and origin, until ``close``. A run closes its client when it
+ends, and a server that joins its handler threads on shutdown waits for
+that.
 """
 
 from __future__ import annotations
 
+import base64
 import http.client
 import json
 import re
-import urllib.error
+import socket
+import threading
 import urllib.request
+from urllib.parse import SplitResult, unquote, urlsplit
 
 from .corpus import Corpus
 from .grading import DIMENSIONS, TASKS, VALID_GRADES
@@ -23,45 +32,134 @@ class ChatTransportError(RuntimeError):
     pass
 
 
-# What a failed request can raise short of an HTTP status: URLError, a
-# timeout and a reset connection are OSErrors, a reply cut off mid-way is an
-# HTTPException, and a URL without a scheme or with a non-HTTP one is a
-# ValueError.
+# What a failed request can raise short of an HTTP status: a refused
+# connection, a timeout and a reset connection are OSErrors, a reply cut off
+# mid-way is an HTTPException, and a URL without a scheme or with a non-HTTP
+# one is a ValueError.
 _TRANSPORT_ERRORS = (OSError, http.client.HTTPException, ValueError)
 
-
-def _open(url: str, data: bytes | None, timeout: float):
-    """Send one request to an http(s) ``url`` and return the open response.
-
-    urllib asks for ``Connection: close``, so each request gets a connection
-    of its own; non-2xx statuses raise ``urllib.error.HTTPError``."""
-    headers = {} if data is None else {"Content-Type": "application/json"}
-    request = urllib.request.Request(url, data, headers)
-    if request.type not in ("http", "https"):
-        raise ValueError(f"unsupported URL scheme {request.type!r}")
-    return urllib.request.urlopen(request, timeout=timeout)
+# What a kept-alive connection that the server has closed raises before a
+# status line is read; http.client.RemoteDisconnected is a ConnectionResetError.
+_STALE = (ConnectionResetError, BrokenPipeError)
 
 
-def post_json(endpoint: str, payload: dict, timeout: float, error: type[Exception], what: str):
-    """POST ``payload`` to ``endpoint`` and return the decoded JSON reply.
+def _connect(parts: SplitResult, timeout: float) -> tuple[http.client.HTTPConnection, dict[str, str] | None]:
+    """A new, not yet connected connection to the origin of ``parts``, routed
+    through the ``http_proxy``/``https_proxy`` of the environment unless
+    ``no_proxy`` covers the host. Also returns the headers each request on
+    it adds when it goes through an http proxy, which takes the target in
+    absolute form; ``None`` for a direct connection or an https tunnel."""
+    https = parts.scheme == "https"
+    cls = http.client.HTTPSConnection if https else http.client.HTTPConnection
+    proxy = urllib.request.getproxies().get(parts.scheme)
+    if proxy is None or urllib.request.proxy_bypass(parts.netloc):
+        return cls(parts.hostname, parts.port, timeout=timeout), None
+    proxy_parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    headers = {}
+    if proxy_parts.username is not None:
+        credentials = f"{unquote(proxy_parts.username)}:{unquote(proxy_parts.password or '')}"
+        headers["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials.encode("utf-8")).decode("ascii")
+    conn = cls(proxy_parts.hostname, proxy_parts.port, timeout=timeout)
+    if https:
+        conn.set_tunnel(parts.hostname, parts.port, headers)
+        return conn, None
+    return conn, headers
 
-    An unreachable endpoint, a non-200 status and a body that is not JSON
-    raise ``error``; checking the reply's schema is left to the caller."""
-    try:
-        data = json.dumps(payload, allow_nan=False).encode("utf-8")
-        with _open(endpoint, data, timeout) as response:
-            status, raw = response.status, response.read()
-    except urllib.error.HTTPError as exc:
-        exc.close()
-        status = exc.code
-    except _TRANSPORT_ERRORS as exc:
-        raise error(f"{what} endpoint unreachable: {endpoint} ({exc})") from exc
-    if status != 200:
-        raise error(f"{what} endpoint error: {endpoint} returned {status}")
-    try:
-        return json.loads(raw)
-    except ValueError as exc:
-        raise error(f"{what} endpoint returned a malformed body: {endpoint} ({exc!r})") from exc
+
+class Connections:
+    """HTTP/1.1 connections, one per thread and origin, kept open between
+    requests until ``close``.
+
+    After a request is sent its socket is set to ``TCP_QUICKACK``, so the
+    first segment of the reply is acknowledged at once. A server that writes
+    headers and body in two writes without ``TCP_NODELAY``, as Python's
+    ``http.server`` does, would otherwise hold the body back until the
+    client's delayed ACK, about 40 ms later on Linux. Where ``socket`` has
+    no ``TCP_QUICKACK``, every request asks for ``Connection: close`` and
+    gets a connection of its own.
+
+    A request that fails closes its connection, so no later request can
+    read what is left of an earlier reply. A request is sent again, once and
+    on a new connection, only when a reused connection was closed by the
+    server before a status line came back."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._open: dict[tuple[int, str, str], tuple[http.client.HTTPConnection, dict[str, str] | None]] = {}
+
+    def request(self, method: str, url: str, body: bytes | None, timeout: float) -> tuple[int, bytes]:
+        """Send one request to an http(s) ``url`` and return the status and
+        the whole body of the reply; any status is returned, none followed."""
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https"):
+            raise ValueError(f"unsupported URL scheme {parts.scheme!r}")
+        if not parts.hostname:
+            raise ValueError(f"no host in {url!r}")
+        key = (threading.get_ident(), parts.scheme, parts.netloc)
+        with self._lock:
+            route = self._open.get(key)
+        if route is None:
+            route = _connect(parts, timeout)
+            with self._lock:
+                self._open[key] = route
+        conn, proxy_headers = route
+        quickack = getattr(socket, "TCP_QUICKACK", None)
+        headers = {"User-Agent": "matura-grader"}
+        if body is not None:
+            headers["Content-Type"] = "application/json"
+        if quickack is None:
+            headers["Connection"] = "close"
+        if proxy_headers is None:
+            target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        else:
+            target = url
+            headers.update(proxy_headers)
+        conn.timeout = timeout
+        while True:
+            reused, response = conn.sock is not None, None
+            try:
+                if reused:
+                    conn.sock.settimeout(timeout)
+                conn.request(method, target, body, headers)
+                if quickack is not None:
+                    conn.sock.setsockopt(socket.IPPROTO_TCP, quickack, 1)
+                response = conn.getresponse()
+                raw = response.read()
+                break
+            except BaseException as exc:
+                conn.close()
+                # Only a reused connection that the server closed before a
+                # status line is retried. The retry runs on a new connection,
+                # so it is never retried itself.
+                if not (reused and response is None and isinstance(exc, _STALE)):
+                    raise
+        if quickack is None:
+            conn.close()
+        return response.status, raw
+
+    def post_json(self, endpoint: str, payload: dict, timeout: float, error: type[Exception], what: str):
+        """POST ``payload`` to ``endpoint`` and return the decoded JSON reply.
+
+        An unreachable endpoint, a non-200 status and a body that is not JSON
+        raise ``error``; checking the reply's schema is left to the caller."""
+        try:
+            data = json.dumps(payload, allow_nan=False).encode("utf-8")
+            status, raw = self.request("POST", endpoint, data, timeout)
+        except _TRANSPORT_ERRORS as exc:
+            raise error(f"{what} endpoint unreachable: {endpoint} ({exc})") from exc
+        if status != 200:
+            raise error(f"{what} endpoint error: {endpoint} returned {status}")
+        try:
+            return json.loads(raw)
+        except ValueError as exc:
+            raise error(f"{what} endpoint returned a malformed body: {endpoint} ({exc!r})") from exc
+
+    def close(self) -> None:
+        """Close every connection; a later request opens a new one."""
+        with self._lock:
+            routes, self._open = list(self._open.values()), {}
+        for conn, _ in routes:
+            conn.close()
 
 
 class ChatClient:
@@ -79,6 +177,9 @@ class ChatClient:
 
     def identity(self) -> str:
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release what the client holds open; it stays usable."""
 
 
 class HttpChatClient(ChatClient):
@@ -98,14 +199,13 @@ class HttpChatClient(ChatClient):
         self.temperature = temperature
         self.seed = seed
         self.timeout = timeout
+        self._connections = Connections()
 
     def preflight(self) -> None:
-        """Fail fast when the server is not reachable at all."""
+        """Fail fast when the server is not reachable at all; any status
+        means it is there."""
         try:
-            with _open(self.base_url, None, min(self.timeout, 10.0)):
-                pass
-        except urllib.error.HTTPError as exc:
-            exc.close()  # any status means the server is there
+            self._connections.request("GET", self.base_url, None, min(self.timeout, 10.0))
         except _TRANSPORT_ERRORS as exc:
             raise ChatTransportError(f"chat endpoint unreachable: {self.base_url} ({exc})") from exc
 
@@ -117,7 +217,7 @@ class HttpChatClient(ChatClient):
             "options": {"temperature": self.temperature, "seed": self.seed},
         }
         endpoint = f"{self.base_url}/api/chat"
-        body = post_json(endpoint, payload, self.timeout, ChatTransportError, "chat")
+        body = self._connections.post_json(endpoint, payload, self.timeout, ChatTransportError, "chat")
         try:
             content = body["message"]["content"]
         except (KeyError, TypeError) as exc:
@@ -130,6 +230,9 @@ class HttpChatClient(ChatClient):
 
     def identity(self) -> str:
         return f"http:{self.base_url}:{self.model}"
+
+    def close(self) -> None:
+        self._connections.close()
 
 
 def assessment_json(task1: dict[str, int], task2: dict[str, int], feedback: str = "Automatische Testbewertung.") -> str:

@@ -31,7 +31,7 @@ from itertools import chain, repeat
 from operator import mul, neg, sub, truediv
 from pathlib import Path
 
-from .clients import post_json
+from .clients import Connections
 from .corpus import Corpus, ExamRecord
 from .grading import VALID_GRADES
 
@@ -120,12 +120,14 @@ class RemoteEmbedder:
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.timeout = timeout
+        self._connections = Connections()
 
     def embed(self, text: str) -> tuple[float, ...]:
         if not text.strip():
             raise EmbeddingError("cannot embed empty text")
         endpoint = f"{self.base_url}/api/embed"
-        body = post_json(endpoint, {"model": self.model, "input": text}, self.timeout, EmbeddingError, "embedding")
+        payload = {"model": self.model, "input": text}
+        body = self._connections.post_json(endpoint, payload, self.timeout, EmbeddingError, "embedding")
         try:
             values = tuple(float(v) for v in body["embeddings"][0])
         except (ValueError, KeyError, IndexError, TypeError) as exc:
@@ -133,6 +135,9 @@ class RemoteEmbedder:
         if not values or not all(map(math.isfinite, values)):
             raise EmbeddingError(f"embedding endpoint returned a malformed body: {endpoint} (empty or non-finite vector)")
         return values
+
+    def close(self) -> None:
+        self._connections.close()
 
 
 # Below this bound every integer is a float, so float products and sums of

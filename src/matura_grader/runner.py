@@ -184,7 +184,8 @@ class RunInputs:
 def load_run_inputs(cfg: ExperimentConfig, embedder=None) -> RunInputs:
     """Load the manifest, corpus and rubrics of ``cfg``, warn about skipped
     exam files and unused manifest entries, and build the similarity index
-    when the technique needs one (with ``embedder``, or the configured one).
+    when the technique needs one (with ``embedder``, or the configured one,
+    which is closed once the index is built).
 
     Raises RuntimeError when the corpus holds no usable exam."""
     manifest = load_exemplar_manifest(cfg.exemplars_path)
@@ -196,7 +197,14 @@ def load_run_inputs(cfg: ExperimentConfig, embedder=None) -> RunInputs:
     warn_unused_manifest_entries(manifest, corpus)
     rubrics = load_rubrics(cfg.rubric_path)
     plan = technique_plan(cfg)
-    index = TaskTextIndex.build(corpus, embedder or make_embedder(cfg)) if plan.needs_index else None
+    index = None
+    if plan.needs_index:
+        own = None if embedder else make_embedder(cfg)
+        try:
+            index = TaskTextIndex.build(corpus, embedder or own)
+        finally:
+            if isinstance(own, RemoteEmbedder):
+                own.close()
     return RunInputs(cfg, corpus, rubrics, manifest, plan, index)
 
 
@@ -215,17 +223,14 @@ def run_experiment(cfg: ExperimentConfig, client: ChatClient | None = None, embe
     ``predictions.jsonl.partial``, which becomes ``predictions.jsonl`` when
     the run completes. With ``runner.parallelism = 1`` candidates are graded
     in the calling thread, one at a time; above it, a pool grades at most
-    ``2 * runner.parallelism`` candidates ahead of the writer.
+    ``2 * runner.parallelism`` candidates ahead of the writer. The client
+    is closed when the run ends, however it ends.
     """
     inputs = load_run_inputs(cfg, embedder)
     if client is None:
         client = make_client(cfg, inputs.corpus)
-    if isinstance(client, HttpChatClient):
-        client.preflight()
-
     candidates = sorted(inputs.corpus.records, key=lambda r: r.id)
     guess_table = GuessTable()
-    started = datetime.now(timezone.utc)
 
     def grade_one(candidate: ExamRecord) -> GradeOutcome:
         try:
@@ -238,6 +243,11 @@ def run_experiment(cfg: ExperimentConfig, client: ChatClient | None = None, embe
     out = Path(cfg.output_dir)
     outcomes: list[GradeOutcome] = []
     with ExitStack() as stack:
+        # Registered first, so it runs last: after the pool has shut down.
+        stack.callback(client.close)
+        if isinstance(client, HttpChatClient):
+            client.preflight()
+        started = datetime.now(timezone.utc)
         if cfg.parallelism == 1:
             graded = (grade_one(candidate) for candidate in candidates)
         else:

@@ -329,3 +329,12 @@ def test_request_body_on_the_wire(fault_server):
 def test_preflight_accepts_any_status(fault_server, status):
     _, url = fault_server("status", status)
     HttpChatClient(url, model="m").preflight()
+
+
+@pytest.mark.parametrize("call, error", CALLERS)
+@pytest.mark.parametrize("fault", ["slow", "close"])
+def test_a_fault_on_a_new_connection_is_not_retried(fault_server, call, error, fault):
+    server, url = fault_server(fault)
+    with pytest.raises(error, match="endpoint unreachable"):
+        call(url, timeout=0.2)
+    assert [path for path, _, _ in server.seen] == [f"/api/{call.__name__[1:]}"]

@@ -29,14 +29,19 @@ ALLOWED_UNREACHED = {
     "clients.ChatClient.chat",
     "clients.ChatClient.identity",
     # The HTTP chat and embedding paths, reached only against a real server.
-    "clients._open",
-    "clients.post_json",
+    "clients._connect",
+    "clients.Connections.__init__",
+    "clients.Connections.request",
+    "clients.Connections.post_json",
+    "clients.Connections.close",
     "clients.HttpChatClient.__init__",
     "clients.HttpChatClient.preflight",
     "clients.HttpChatClient.chat",
     "clients.HttpChatClient.identity",
+    "clients.HttpChatClient.close",
     "retrieval.RemoteEmbedder.__init__",
     "retrieval.RemoteEmbedder.embed",
+    "retrieval.RemoteEmbedder.close",
     # The malformed-reply helpers, reached only when a reply breaks the
     # schema: the mock replies are always well-formed.
     "orchestrator._sweep_brackets",

@@ -544,7 +544,7 @@ def test_importing_runner_loads_no_numpy():
 
 
 def test_importing_runner_loads_no_requests():
-    # The clients post through urllib; requests and its dependencies add
+    # The clients post through http.client; requests and its dependencies add
     # about 7 MiB of resident memory and 100 ms of import time to every run.
     # Only what the import adds counts: a site hook may load certifi first.
     import matura_grader

@@ -9,6 +9,7 @@ are generated directly so output bytes depend only on the report content.
 from __future__ import annotations
 
 import csv
+from html import escape
 from pathlib import Path
 
 from .grading import DIMENSIONS, TASKS, VALID_GRADES
@@ -131,7 +132,7 @@ def confusion_svg(d: DimensionReport, title: str) -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
-        f'<text x="{left}" y="22" font-family="sans-serif" font-size="15">{title}</text>',
+        f'<text x="{left}" y="22" font-family="sans-serif" font-size="15">{escape(title, quote=False)}</text>',
         f'<text x="{left + 5 * cell / 2:.0f}" y="42" font-family="sans-serif" font-size="12" '
         f'text-anchor="middle">model grade</text>',
         f'<text x="16" y="{top + 5 * cell / 2:.0f}" font-family="sans-serif" font-size="12" '

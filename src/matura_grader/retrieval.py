@@ -158,16 +158,10 @@ def _whole_numbers(values) -> bool:
         return False
 
 
-def _exact_square(squared_norm) -> bool:
-    """Whether a squared norm from ``_squared_norm`` of whole numbers lies
-    in (0, 2**53). The squares are non-negative, so the float sum stays
-    below 2**53 only if the exact one does; the float sum is then exact."""
-    return 0 < squared_norm < _EXACT_BOUND
-
-
 @dataclass(frozen=True)
 class _Pool:
     """One (year, pack, task position) pool as parallel tuples, sorted by id.
+    Its vectors have one length and squared norms above 0.0.
 
     An integer pool keeps each vector once, as integers: ``counts`` holds
     them one after the other, ``vectors`` is empty, and ``columns[j]`` packs
@@ -185,12 +179,13 @@ class _Pool:
     slot: int = 0
 
     @classmethod
-    def pack(cls, records: tuple[ExamRecord, ...], vectors: tuple[tuple[float, ...], ...]) -> "_Pool":
-        squares = [_squared_norm(values) for values in vectors]
+    def pack(cls, records: tuple[ExamRecord, ...], vectors: tuple[tuple[float, ...], ...], squares: list[float]) -> "_Pool":
         ids = tuple(record.id for record in records)
         norms = tuple(map(math.sqrt, squares))
         flat = tuple(chain.from_iterable(vectors))
-        if len(set(map(len, vectors))) != 1 or not all(map(_exact_square, squares)) or not _whole_numbers(flat):
+        # Squares of whole numbers are non-negative, so their float sum stays
+        # below 2**53 only if the exact sum does; the float sum is then exact.
+        if not _whole_numbers(flat) or max(squares) >= _EXACT_BOUND:
             return cls(records, ids, vectors, norms)
         counts = tuple(map(int, flat))
         dim = len(vectors[0])
@@ -199,11 +194,13 @@ class _Pool:
         columns = tuple(int.from_bytes(struct.pack(fmt, *counts[j::dim]), "little") for j in range(dim))
         return cls(records, ids, (), norms, counts, columns, slot)
 
-    def dots(self, member: int) -> tuple[int, ...]:
-        """The exact dot product of vector ``member`` of an integer pool with
-        every vector, in pool order: one big-integer multiply-add per
-        dimension. By Cauchy-Schwarz a dot product is at most the larger of
-        the two squared norms, so no slot carries into the next."""
+    def dots(self, member: int) -> tuple[float, ...]:
+        """The dot product of vector ``member`` with every vector, in pool
+        order. An integer pool's are exact, from one big-integer multiply-add
+        per dimension; by Cauchy-Schwarz a dot product is at most the larger
+        of the two squared norms, so no slot carries into the next."""
+        if not self.columns:
+            return tuple(sum(map(mul, self.vectors[member], values)) for values in self.vectors)
         dim, size = len(self.columns), len(self.ids)
         total = sum(map(mul, self.counts[member * dim : (member + 1) * dim], self.columns))
         return struct.unpack(f"<{size}{_SLOT_FORMATS[self.slot]}", total.to_bytes(size * self.slot, "little"))
@@ -220,24 +217,23 @@ class TaskTextIndex:
     time. Queries are exact full scans; a query with a limit ranks only the
     top of the scan (``heapq.nsmallest``).
 
-    Each vector's norm is computed once at build with the products and sum
-    ``cosine_similarity`` uses. The pool alone picks one of two paths, and
-    both give every similarity, and with it every ranking and tie,
-    bit-identical to the scalar oracle:
+    The index holds only vectors it can rank: ``build`` fails on a vector
+    of another length than the index's first, or with a squared norm of
+    0.0, naming its exam and task. That squared norm is computed once, with
+    the products and sum ``cosine_similarity`` uses. The pool alone picks
+    one of two paths for its dot products (``_Pool.dots``), and both rank
+    alike, every similarity, ranking and tie bit-identical to the oracle:
 
     - Integer path, for a pool of count vectors: floats that are
-      non-negative whole numbers, of one length, with squared norms in
-      (0, 2**53), as the fallback embedder's bucket counts are. One
-      big-integer multiply-add per dimension over the packed columns
-      (``_Pool``) yields the member's dot product with every pool vector at
-      once. Every product and partial sum of such a dot product is an
-      integer below 2**53, which a float holds exactly, so the integer
-      equals the float sum ``cosine_similarity`` computes.
-    - Float path, for any other pool (remote float embeddings, a zero
-      vector, mixed lengths): one ``sum(map(mul, ...))`` per pair over the
-      pool's float vectors, the products and left-to-right sum of
-      ``cosine_similarity``, with its errors. The query is one of those
-      vectors, so the float path never meets an integer pool.
+      non-negative whole numbers with squared norms below 2**53, as the
+      fallback embedder's bucket counts are. One big-integer multiply-add
+      per dimension over the packed columns yields the member's dot product
+      with every pool vector at once. Every product and partial sum of such
+      a dot product is an integer below 2**53, which a float holds exactly,
+      so the integer equals the float sum ``cosine_similarity`` computes.
+    - Float path, for any other pool, such as remote float embeddings: one
+      ``sum(map(mul, ...))`` per pool vector, the products and left-to-right
+      sum of ``cosine_similarity``.
 
     The scan stays in pure Python on purpose: importing numpy adds about
     13 MiB of resident memory, some 30% of a 300-exam mock run's peak."""
@@ -248,16 +244,24 @@ class TaskTextIndex:
     @classmethod
     def build(cls, corpus: Corpus, embedder) -> "TaskTextIndex":
         pools: dict[tuple[int, str, int], _Pool] = {}
+        dim = 0  # the length of the index's first vector
         for year, pack in corpus.packs():
             records = corpus.pool(year, pack)
             for position in (1, 2):
-                vectors = []
+                vectors, squares = [], []
                 for record in records:
                     try:
-                        vectors.append(embedder.embed(record.task(position).body))
+                        values = embedder.embed(record.task(position).body)
+                        dim = dim or len(values)
+                        if len(values) != dim:
+                            raise EmbeddingError(f"embedding has {len(values)} dimensions, the index's first has {dim}")
+                        squares.append(_squared_norm(values))
+                        if squares[-1] == 0.0:  # all zeros, or squares that underflow
+                            raise EmbeddingError("embedding has zero norm, so its cosine similarity is undefined")
                     except EmbeddingError as exc:
                         raise EmbeddingError(f"exam {record.id!r} task {position}: {exc}") from exc
-                pools[(year, pack, position)] = _Pool.pack(records, tuple(vectors))
+                    vectors.append(values)
+                pools[(year, pack, position)] = _Pool.pack(records, tuple(vectors), squares)
         return cls(pools)
 
     def query(self, candidate: ExamRecord, position: int, limit: int | None = None) -> list[tuple[ExamRecord, float]]:
@@ -272,24 +276,11 @@ class TaskTextIndex:
             member = pool.ids.index(candidate.id)
         except ValueError:
             raise KeyError(f"exam {candidate.id!r} is not in the index pool {key}") from None
-        query_norm = pool.norms[member]
-        if pool.columns:
-            similarities = map(truediv, pool.dots(member), map(mul, repeat(query_norm), pool.norms))
-            rows = zip(map(neg, similarities), pool.ids, pool.records)
-        else:
-            query_values = pool.vectors[member]
-            rows = []
-            for record, values, norm in zip(pool.records, pool.vectors, pool.norms):
-                if record.id == candidate.id:
-                    continue
-                if len(query_values) != len(values):
-                    raise ValueError(f"vector length mismatch: {len(query_values)} vs {len(values)}")
-                if query_norm == 0.0 or norm == 0.0:
-                    raise ValueError("cosine similarity undefined for zero-norm vector")
-                rows.append((-(sum(map(mul, query_values, values)) / (query_norm * norm)), record.id, record))
+        similarities = map(truediv, pool.dots(member), map(mul, repeat(pool.norms[member]), pool.norms))
         # Rows are (-similarity, id, record); ids are unique in a pool, so
         # ranking never compares records, and ``nsmallest(n, rows)`` equals
         # ``sorted(rows)[:n]``. One extra row covers the candidate itself.
+        rows = zip(map(neg, similarities), pool.ids, pool.records)
         ranked = sorted(rows) if limit is None else heapq.nsmallest(limit + 1, rows)
         return [(record, -negated) for negated, record_id, record in ranked if record_id != candidate.id][:limit]
 

@@ -376,13 +376,15 @@ def rescore_predictions(
         first = first_lines.setdefault(data["id"], number)
         if first != number:
             raise ValueError(f"{where}: duplicate prediction for {data['id']!r} (first on line {first})")
+        if not isinstance(data.get("valid"), bool) or not isinstance(data.get("error"), (str, type(None))):
+            raise ValueError(f"{where}: a prediction's valid must be true or false, and its error null or a string")
         assessment = None
         derived = None
         if data.get("assessment"):
             block = data["assessment"]
             if not isinstance(block, dict):
                 raise ValueError(f"{where}: assessment must be an object, got {type(block).__name__}")
-            valid = data.get("valid", False) and not data.get("error")
+            valid = data["valid"] and not data.get("error")
             if valid and not all(isinstance(block.get(task), dict) for task in TASKS):
                 raise ValueError(f"{where}: a valid prediction needs objects as " + " and ".join(TASKS))
             assessment = ModelAssessment(

@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from matura_grader.cli import main
 from matura_grader.clients import ChatTransportError, HttpChatClient
 from matura_grader.config import config_from_values
 from matura_grader.retrieval import EmbeddingError, RemoteEmbedder
@@ -17,6 +18,10 @@ class _Handler(BaseHTTPRequestHandler):
     requests_seen: list[tuple[str, dict]] = []
     fail_with: int | None = None
     body_override: bytes | None = None  # sent as-is with status 200
+
+    @staticmethod
+    def embedding(text: str) -> list[float]:
+        return [1.0, 2.0, float(len(text))]
 
     def log_message(self, *args):
         pass
@@ -44,7 +49,7 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path == "/api/chat":
             body = {"message": {"role": "assistant", "content": f"antwort-{len(payload['messages'])}"}}
         elif self.path == "/api/embed":
-            body = {"embeddings": [[1.0, 2.0, float(len(payload["input"]))]]}
+            body = {"embeddings": [self.embedding(payload["input"])]}
         else:
             self.send_response(404)
             self.end_headers()
@@ -109,6 +114,29 @@ def test_a_few_shot_run_posts_each_distinct_request_once(stub_server, synthetic_
     assert len(posted) < 25 * 9
     meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
     assert meta["reused_guesses"] == 25 * 9 - len(posted)
+
+
+@pytest.mark.parametrize("command", ["run", "context"])
+def test_a_zero_remote_embedding_fails_at_set_up(
+    command, stub_server, synthetic_dirs_25, corpus_25, tmp_path, capsys, monkeypatch
+):
+    exam_dir, rubric_dir = synthetic_dirs_25
+    zero_for = corpus_25.get("exam-004").task(2).body
+    monkeypatch.setattr(_Handler, "embedding", staticmethod(lambda text: [0.0, 0.0] if text == zero_for else [1.0, 2.0]))
+    out = tmp_path / "out"
+    config_file = tmp_path / "remote.conf"
+    config_file.write_text(
+        f"corpus.path = {exam_dir}\nrubric.path = {rubric_dir}\noutput.dir = {out}\ntechnique = rag_most_similar\n"
+        f"client.kind = http\nclient.base_url = {stub_server}\nclient.model = m\n"
+        f"embedding.fallback = false\nembedding.base_url = {stub_server}\nembedding.model = e\n",
+        encoding="utf-8",
+    )
+    argv = [command, "--config", str(config_file)] + (["--candidate", "exam-007"] if command == "context" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "fatal: exam 'exam-004' task 2: embedding has zero norm, so its cosine similarity is undefined" in err.splitlines()
+    assert {path for path, _ in _Handler.requests_seen} == {"/api/embed"}
+    assert not out.exists()
 
 
 def test_chat_client_error_status(stub_server):

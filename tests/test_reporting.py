@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -131,6 +132,15 @@ def test_confusion_csv_and_svg_contents(tmp_path):
     assert svg.count("<rect") == 25
     assert ">44<" in svg  # largest count rendered
     assert "human grade" in svg and "model grade" in svg
+
+
+def test_confusion_svg_titles_are_escaped(tmp_path):
+    report = _report("A&B <x>", BASELINE_QWK, BASELINE_ACC)
+    svgs = [path for path in emit_report(report, tmp_path) if path.suffix == ".svg"]
+    assert len(svgs) == len(DIMENSION_KEYS)
+    for key, path in zip(DIMENSION_KEYS, svgs):
+        title = ET.parse(path).getroot().find("{http://www.w3.org/2000/svg}text")
+        assert title.text == f"A&B <x>: {key}"
 
 
 def test_confusion_svg_is_deterministic():

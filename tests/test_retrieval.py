@@ -329,26 +329,51 @@ class _TableEmbedder:
         return tuple(self.table[text])
 
 
-def test_index_query_errors_match_cosine_similarity():
-    table = {"eins": (1.0, 2.0), "drei": (3.0, 1.0), "null": (0.0, 0.0), "kurz": (1.0,)}
+_ZERO_NORM = "embedding has zero norm, so its cosine similarity is undefined"
+
+
+def test_index_build_rejects_the_vectors_cosine_similarity_cannot_rank():
+    table = {
+        "eins": (1.0, 2.0),
+        "drei": (3.0, 1.0),
+        "null": (0.0, 0.0),
+        "winzig": (1e-200, 1e-200),  # its squares underflow to 0.0
+        "kurz": (1.0,),
+        "lang": (1.0, 2.0, 3.0),
+    }
+    reasons = {
+        "null": _ZERO_NORM,
+        "winzig": _ZERO_NORM,
+        "kurz": "embedding has 1 dimensions, the index's first has 2",
+        "lang": "embedding has 3 dimensions, the index's first has 2",
+    }
+    for odd, reason in reasons.items():
+        with pytest.raises(ValueError):  # nor can the oracle rank it
+            cosine_similarity(table["eins"], table[odd])
+        for position in (1, 2):
+            bodies = {f"body{position}": odd, f"body{3 - position}": "drei"}
+            corpus = make_corpus(
+                [
+                    make_record("v-1", (1,) * 4, (1,) * 4, body1="eins", body2="eins"),
+                    make_record("v-2", (2,) * 4, (2,) * 4, **bodies),
+                    make_record("v-3", (3,) * 4, (3,) * 4, body1="drei", body2="drei"),
+                ]
+            )
+            with pytest.raises(EmbeddingError, match=f"^exam 'v-2' task {position}: {re.escape(reason)}$"):
+                TaskTextIndex.build(corpus, _TableEmbedder(table))
+    # The length to keep is that of the index's first vector, across pools.
     corpus = make_corpus(
         [
-            make_record("v-1", (1,) * 4, (1,) * 4, body1="eins", body2="eins"),
-            make_record("v-2", (2,) * 4, (2,) * 4, body1="null", body2="kurz"),
-            make_record("v-3", (3,) * 4, (3,) * 4, body1="drei", body2="drei"),
+            make_record("v-1", (1,) * 4, (1,) * 4, body1="kurz", body2="kurz"),
+            make_record("v-2", (2,) * 4, (2,) * 4, pack="pack-b", body1="eins", body2="eins"),
         ]
     )
-    index = TaskTextIndex.build(corpus, _TableEmbedder(table))
-    with pytest.raises(ValueError, match="zero-norm"):
-        cosine_similarity(table["eins"], table["null"])
-    with pytest.raises(ValueError, match="zero-norm"):
-        index.query(corpus.get("v-1"), 1)
-    with pytest.raises(ValueError, match="zero-norm"):
-        index.query(corpus.get("v-2"), 1)
-    with pytest.raises(ValueError, match="length mismatch: 2 vs 1"):
-        index.query(corpus.get("v-1"), 2)
-    with pytest.raises(ValueError, match="length mismatch: 1 vs 2"):
-        index.query(corpus.get("v-2"), 2)
+    with pytest.raises(EmbeddingError, match="^exam 'v-2' task 1: embedding has 2 dimensions, the index's first has 1$"):
+        TaskTextIndex.build(corpus, _TableEmbedder(table))
+    # A shorter vector in a pool of count vectors, sorting last.
+    corpus, table = _table_corpus(_random_counts("float-path", 12, 4) + [(1.0, 2.0, 3.0)])
+    with pytest.raises(EmbeddingError, match="^exam 't-12' task 1: embedding has 3 dimensions, the index's first has 4$"):
+        TaskTextIndex.build(corpus, _TableEmbedder(table))
 
 
 def test_fallback_embedder_memo_keeps_vectors(corpus_60_with_ties):
@@ -784,8 +809,8 @@ def test_integer_path_serves_every_fallback_query(corpus_60_with_ties):
 
 @pytest.mark.parametrize(
     "odd_vector",
-    [(1.0, -1.0, 2.0, 0.0), (1.0, 0.5, 2.0, 0.0), (1.0, 2.0, 3.0)],
-    ids=["negative", "fractional", "shorter"],
+    [(1.0, -1.0, 2.0, 0.0), (1.0, 0.5, 2.0, 0.0)],
+    ids=["negative", "fractional"],
 )
 def test_pool_with_an_odd_vector_takes_the_float_path(odd_vector):
     vectors = _random_counts("float-path", 12, 4)
@@ -794,18 +819,8 @@ def test_pool_with_an_odd_vector_takes_the_float_path(odd_vector):
     index = TaskTextIndex.build(corpus, _TableEmbedder(table))
     pool = index._pools[(2023, "pack-a", 1)]
     assert pool.columns == () and pool.counts == ()
-    odd = corpus.records[-1]
     for candidate in corpus.records:
-        if len(odd_vector) == 4:
-            assert _ranking(index, candidate, 1) == _table_scan(corpus, table, candidate, 1)
-            continue
-        # The odd record sorts last, so a query meets it last or starts from it.
-        first_mismatch = odd_vector if candidate is not odd else vectors[0]
-        with pytest.raises(ValueError) as want:
-            cosine_similarity(table[candidate.task(1).body], first_mismatch)
-        with pytest.raises(ValueError, match="length mismatch") as got:
-            index.query(candidate, 1)
-        assert str(got.value) == str(want.value)
+        assert _ranking(index, candidate, 1) == _table_scan(corpus, table, candidate, 1)
 
 
 def test_pool_with_squared_norms_past_2_53_takes_the_float_path():
@@ -910,16 +925,6 @@ def test_query_limit_on_a_float_path_pool():
     assert index._pools[(2023, "pack-a", 1)].columns == ()
     for candidate in corpus.records:
         _assert_limits_keep_the_head(corpus, index, candidate, 1)
-
-
-def test_query_limit_raises_the_full_scan_errors():
-    corpus, table = _table_corpus(_random_counts("limit-errors", 6, 4) + [(1.0, 2.0, 3.0)])
-    index = TaskTextIndex.build(corpus, _TableEmbedder(table))
-    with pytest.raises(ValueError) as want:
-        index.query(corpus.records[0], 1)
-    with pytest.raises(ValueError, match="length mismatch") as got:
-        index.query(corpus.records[0], 1, limit=1)
-    assert str(got.value) == str(want.value)
 
 
 def test_most_similar_warns_only_past_the_pool():

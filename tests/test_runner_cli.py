@@ -22,6 +22,7 @@ from matura_grader.cli import main
 from matura_grader.clients import ChatClient, ChatTransportError, MockChatClient
 from matura_grader.config import TECHNIQUES, config_from_values
 from matura_grader.corpus import load_corpus, normalize_text
+from matura_grader.grading import DIMENSIONS
 from matura_grader.metrics import DIMENSION_KEYS, build_report
 from matura_grader.orchestrator import ORDERINGS
 from matura_grader.prompts import (
@@ -30,7 +31,7 @@ from matura_grader.prompts import (
     render_candidate_block,
     render_context_blocks,
 )
-from matura_grader.retrieval import FallbackEmbedder, TaskTextIndex
+from matura_grader.retrieval import EmbeddingError, FallbackEmbedder, TaskTextIndex
 from matura_grader.runner import (
     RunInputs,
     build_candidate_script,
@@ -775,6 +776,9 @@ def test_cli_run_rejects_malformed_exemplar_manifest(synthetic_dirs_25, tmp_path
     assert not (tmp_path / "out").exists()
 
 
+_ALL_THREES = {task: dict.fromkeys(DIMENSIONS, 3) for task in ("task1", "task2")}
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -786,6 +790,12 @@ def test_cli_run_rejects_malformed_exemplar_manifest(synthetic_dirs_25, tmp_path
         '{"id": "exam-002", "valid": true, "assessment": [1, 2]}',
         '{"id": "exam-002", "valid": true, "assessment": {"task1": {"content": 1}, "task2": {}}}',
         b'{"id": "exam-002", "valid": false, "error": "\xff\xfe"}',
+        # An assessment that rescores as valid once valid reads as true.
+        json.dumps({"id": "exam-002", "valid": "false", "assessment": _ALL_THREES}),
+        json.dumps({"id": "exam-002", "valid": 1, "assessment": _ALL_THREES}),
+        '{"id": "exam-002", "assessment": null}',
+        '{"id": "exam-002", "valid": false, "error": 1, "assessment": null}',
+        '{"id": "exam-002", "valid": false, "error": ["timeout"], "assessment": null}',
     ],
 )
 def test_cli_metrics_rejects_malformed_prediction_line(line, synthetic_dirs_25, corpus_25, tmp_path, capsys):
@@ -978,6 +988,45 @@ def test_load_run_inputs_embeds_only_for_an_index(technique, builds_index, synth
     else:
         assert len(embedder.texts) == 0
         assert inputs.index is None
+
+
+class _OddVectorEmbedder(FallbackEmbedder):
+    """The fallback embedder, except that one text gets ``vector``."""
+
+    def __init__(self, dim, text, vector):
+        super().__init__(dim)
+        self.text, self.vector = text, vector
+
+    def embed(self, text):
+        return self.vector if text == self.text else super().embed(text)
+
+
+class _NoChatClient(ChatClient):
+    def chat(self, messages, exam_id=None):
+        raise AssertionError("a run whose index failed made a chat call")
+
+    def identity(self):
+        return "no-chat"
+
+
+@pytest.mark.parametrize(
+    "vector, reason",
+    [
+        ((0.0,) * 128, "embedding has zero norm, so its cosine similarity is undefined"),
+        ((1.0,) * 127, "embedding has 127 dimensions, the index's first has 128"),
+    ],
+    ids=["zero", "shorter"],
+)
+def test_a_run_with_an_unrankable_embedding_stops_at_set_up(vector, reason, synthetic_dirs_25, corpus_25, tmp_path):
+    exam_dir, rubric_dir = synthetic_dirs_25
+    out = tmp_path / "out"
+    cfg = _cfg(exam_dir, rubric_dir, out, technique="rag_most_similar")
+    embedder = _OddVectorEmbedder(cfg.embedding_dim, corpus_25.get("exam-004").task(2).body, vector)
+    with pytest.raises(EmbeddingError, match=f"^exam 'exam-004' task 2: {re.escape(reason)}$") as failed:
+        run_experiment(cfg, client=_NoChatClient(), embedder=embedder)
+    assert failed.traceback[-1].name == "build"
+    assert "load_run_inputs" in [entry.name for entry in failed.traceback]
+    assert not out.exists()
 
 
 def test_cli_context_unknown_candidate_with_an_index_is_fatal(synthetic_dirs_25, tmp_path, capsys):

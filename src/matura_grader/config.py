@@ -161,8 +161,9 @@ DEFAULTS: dict[str, tuple[str, str]] = {
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; unknown keys are errors."""
+    """Parse ``key = value`` lines; unknown keys and keys set twice are errors."""
     values: dict[str, str] = {}
+    first_lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -173,6 +174,9 @@ def parse_config_text(text: str) -> dict[str, str]:
         key = key.strip()
         if key not in DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        first = first_lines.setdefault(key, lineno)
+        if first != lineno:
+            raise ConfigError(f"line {lineno}: config key {key!r} is already set on line {first}")
         values[key] = value.strip()
     return values
 

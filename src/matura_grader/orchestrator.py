@@ -289,8 +289,17 @@ def parse_assessment(raw: str) -> ModelAssessment:
     """Extract and validate the grade sheet from a model response.
 
     Surrounding prose and code fences are tolerated: the first parseable
-    JSON object wins. Invalidity is recorded, not raised.
+    JSON object wins. A reply that opens with ``<think>`` (after leading
+    whitespace), as a reasoning model's can, is searched only after its
+    first ``</think>``, so a sheet drafted while thinking is not the answer;
+    if it never closes its thinking, it is invalid. Invalidity is recorded,
+    not raised.
     """
+    stripped = raw.lstrip()
+    if stripped.startswith("<think>"):
+        _, closed, raw = stripped.partition("</think>")
+        if not closed:
+            return ModelAssessment(None, None, failure_reason="reply ends inside its thinking")
     data = _first_json_object(raw)
     if data is None:
         return ModelAssessment(None, None, failure_reason="no JSON object found")

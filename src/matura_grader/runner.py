@@ -218,13 +218,15 @@ def run_experiment(cfg: ExperimentConfig, client: ChatClient | None = None, embe
     ``GuessTable``.
 
     Outcomes are consumed in candidate order as they are graded: each
-    candidate's transcript and prediction line are written at once, and only
-    what ``build_report`` reads is kept. The prediction lines go to
-    ``predictions.jsonl.partial``, which becomes ``predictions.jsonl`` when
-    the run completes. With ``runner.parallelism = 1`` candidates are graded
-    in the calling thread, one at a time; above it, a pool grades at most
-    ``2 * runner.parallelism`` candidates ahead of the writer. The client
-    is closed when the run ends, however it ends.
+    candidate's transcript and prediction line are written at once, and the
+    outcome is then dropped. The prediction lines go to
+    ``predictions.jsonl.partial``. Once every candidate is written, the
+    report is read back from that file by ``rescore_predictions``, the
+    reader ``metrics --pred`` uses, and the file becomes
+    ``predictions.jsonl``. With ``runner.parallelism = 1`` candidates are
+    graded in the calling thread, one at a time; above it, a pool grades at
+    most ``2 * runner.parallelism`` candidates ahead of the writer. The
+    client is closed when the run ends, however it ends.
     """
     inputs = load_run_inputs(cfg, embedder)
     if client is None:
@@ -241,7 +243,6 @@ def run_experiment(cfg: ExperimentConfig, client: ChatClient | None = None, embe
             return GradeOutcome(candidate.id, None, None, transcript=(), error=f"internal: {exc}")
 
     out = Path(cfg.output_dir)
-    outcomes: list[GradeOutcome] = []
     with ExitStack() as stack:
         # Registered first, so it runs last: after the pool has shut down.
         stack.callback(client.close)
@@ -263,9 +264,8 @@ def run_experiment(cfg: ExperimentConfig, client: ChatClient | None = None, embe
                     (out / _PARTIAL_PREDICTIONS).open("w", encoding="utf-8", errors=_MODEL_TEXT_ERRORS)
                 )
             _write_outcome(out, predictions, outcome)
-            outcomes.append(replace(outcome, transcript=(), guesses=()))
 
-    report = build_report(inputs.plan.label, outcomes, inputs.corpus)
+    report = rescore_predictions(out / _PARTIAL_PREDICTIONS, inputs.corpus, inputs.plan.label, cfg.round_half)
     _write_artifacts(cfg, report, client, started, guess_table.reused)
     return report
 
@@ -352,7 +352,9 @@ def _write_artifacts(
 def rescore_predictions(
     predictions_path: str | Path, corpus: Corpus, technique: str = "rescored", half: str = "better"
 ) -> EvaluationReport:
-    """Rebuild an EvaluationReport from a stored predictions.jsonl file."""
+    """The EvaluationReport of a predictions file: ``run`` builds its report
+    from the file it has just written, and ``metrics --pred`` from a stored
+    one, so both score a prediction line the same way."""
     outcomes: list[GradeOutcome] = []
     first_lines: dict[str, int] = {}
     raw = Path(predictions_path).read_bytes()

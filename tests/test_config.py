@@ -43,6 +43,13 @@ def test_parse_rejects_unknown_key():
         parse_config_text("tecnique = baseline")
 
 
+def test_parse_rejects_a_key_set_twice_naming_both_lines():
+    with pytest.raises(ConfigError, match=r"^line 3: config key 'technique' is already set on line 1$"):
+        parse_config_text("technique = baseline\n# later\ntechnique = few_mixed\n")
+    with pytest.raises(ConfigError, match="already set on line 1"):
+        parse_config_text("technique = baseline\ntechnique = baseline\n")
+
+
 def test_parse_rejects_malformed_line():
     with pytest.raises(ConfigError, match="expected 'key = value'"):
         parse_config_text("just some words")

@@ -386,6 +386,48 @@ def test_parse_assessment_no_json():
     assert assessment.failure_reason == "no JSON object found"
 
 
+_DRAFT = assessment_json({d: 2 for d in DIMENSIONS}, {d: 2 for d in DIMENSIONS})
+_ANSWER = assessment_json({d: 4 for d in DIMENSIONS}, {d: 4 for d in DIMENSIONS})
+
+
+@pytest.mark.parametrize("lead", ["", "  \n\t"], ids=["at_start", "after_whitespace"])
+def test_parse_assessment_grades_the_answer_after_the_thinking_not_its_draft(lead):
+    assessment = parse_assessment(f"{lead}<think>Entwurf: {_DRAFT}\nNein, strenger.</think>\n{_ANSWER}")
+    assert assessment.valid
+    assert assessment.task1 == assessment.task2 == {d: 4 for d in DIMENSIONS}
+
+
+@pytest.mark.parametrize("lead", ["", "\n "], ids=["at_start", "after_whitespace"])
+def test_parse_assessment_rejects_a_reply_that_ends_inside_its_thinking(lead):
+    assessment = parse_assessment(f"{lead}<think>Entwurf: {_DRAFT}\nVielleicht doch")
+    assert not assessment.valid
+    assert assessment.failure_reason == "reply ends inside its thinking"
+
+
+def test_parse_assessment_reads_a_quoted_closing_tag_in_the_answer_as_text():
+    sheet = assessment_json({d: 4 for d in DIMENSIONS}, {d: 4 for d in DIMENSIONS}, feedback="kein </think> hier")
+    assessment = parse_assessment(f"<think>{_DRAFT}</think>{sheet}")
+    assert assessment.valid
+    assert assessment.task1["content"] == 4
+    assert assessment.feedback["task1"] == "kein </think> hier"
+
+
+def test_parse_assessment_searches_from_the_start_a_reply_that_think_does_not_open():
+    assessment = parse_assessment(f"Vorab. <think>{_DRAFT}</think> {_ANSWER}")
+    assert assessment.valid
+    assert assessment.task1 == {d: 2 for d in DIMENSIONS}
+
+
+def test_grade_candidate_retries_a_reply_that_ends_inside_its_thinking(rubric, small_corpus):
+    script = build_zero_shot(small_corpus.get("s-06"), ContextSelection(), rubric)
+    unclosed = f"<think>{_DRAFT}"
+    outcome = grade_candidate(ScriptedChatClient([unclosed, _ANSWER]), script, retries=1)
+    assert outcome.valid
+    assert outcome.attempts == 2
+    assert outcome.assessment.task1 == {d: 4 for d in DIMENSIONS}
+    assert [m["content"] for m in outcome.transcript if m["role"] == "assistant"] == [unclosed, _ANSWER]
+
+
 def _first_json_object_by_slicing(raw: str) -> dict | None:
     """Reference extractor: decode a fresh copy of the text from every brace."""
     decoder = json.JSONDecoder()

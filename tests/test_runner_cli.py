@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import logging
@@ -24,7 +25,7 @@ from matura_grader.config import TECHNIQUES, config_from_values
 from matura_grader.corpus import load_corpus, normalize_text
 from matura_grader.grading import DIMENSIONS
 from matura_grader.metrics import DIMENSION_KEYS, build_report
-from matura_grader.orchestrator import ORDERINGS
+from matura_grader.orchestrator import ORDERINGS, GradeOutcome
 from matura_grader.prompts import (
     context_intro,
     render_calibration_message,
@@ -192,6 +193,26 @@ def test_build_report_receives_outcomes_without_transcripts(synthetic_dirs_25, t
     assert all(o.valid and o.derived is not None for o in received)
     transcript = json.loads((out / "transcripts" / f"{received[0].exam_id}.json").read_text())
     assert len(transcript["guesses"]) == 3 and transcript["messages"]
+
+
+@pytest.mark.parametrize("parallelism", [1, 3])
+def test_a_run_holds_only_the_outcomes_in_flight(parallelism, synthetic_dirs_25, tmp_path, monkeypatch):
+    exam_dir, rubric_dir = synthetic_dirs_25
+    gc.collect()
+    before = {id(o): o for o in gc.get_objects() if isinstance(o, GradeOutcome)}
+    live = []
+    write = runner._write_outcome
+
+    def counting_write(out, predictions, outcome):
+        write(out, predictions, outcome)
+        gc.collect()
+        live.append(sum(isinstance(o, GradeOutcome) and id(o) not in before for o in gc.get_objects()))
+
+    monkeypatch.setattr(runner, "_write_outcome", counting_write)
+    cfg = _cfg(exam_dir, rubric_dir, tmp_path / "out", technique="few_mixed", **{"runner.parallelism": parallelism})
+    report = run_experiment(cfg)
+    assert report.n == 25 and len(live) == 25
+    assert max(live) <= 2 * parallelism
 
 
 class _InterruptedClient(MockChatClient):

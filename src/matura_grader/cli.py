@@ -111,7 +111,7 @@ def _cmd_validate_corpus(args) -> int:
     corpus = load_corpus(args.directory, trust_stored_grades=args.trust_stored_grades)
     for error in corpus.errors:
         print(f"error: {error.file}: {error.reason}")
-    revalidated = sum(1 for record in corpus.records if validate_record(record).ok)
+    revalidated = sum(1 for record in corpus.records if not validate_record(record))
     print(f"{len(corpus.records)} records ok ({revalidated} consistent), {len(corpus.errors)} errors")
     return EXIT_OK if not corpus.errors else EXIT_VALIDATION
 

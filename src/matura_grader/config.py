@@ -18,7 +18,6 @@ from .orchestrator import ORDERINGS
 from .retrieval import BASELINE, BEST_AVERAGE_WORST, MOST_SIMILAR, RANGE_OF_EXAMPLES, ContextStrategy
 
 BEST_WORST_LEVELS = (1, 3, 5)
-ALL_GRADE_LEVELS = VALID_GRADES
 
 
 @dataclass(frozen=True)
@@ -46,10 +45,10 @@ TECHNIQUES: dict[str, TechniquePlan] = {
     "rag_best_avg_worst": TechniquePlan("RAG-best-worst", ContextStrategy(BEST_AVERAGE_WORST)),
     "rag_most_similar": TechniquePlan("RAG-{k}-best", ContextStrategy(MOST_SIMILAR)),
     "rag_range": TechniquePlan("RAG-{n5}-grade", ContextStrategy(RANGE_OF_EXAMPLES)),
-    "few_all_grades": TechniquePlan("Few-all-grades", calibration_groups=(((1, 2), ALL_GRADE_LEVELS),)),
+    "few_all_grades": TechniquePlan("Few-all-grades", calibration_groups=(((1, 2), VALID_GRADES),)),
     "few_best_worst": TechniquePlan("Few-best-worst", calibration_groups=(((1, 2), BEST_WORST_LEVELS),)),
     "few_mixed": TechniquePlan(
-        "Few-mixed", calibration_groups=(((1,), BEST_WORST_LEVELS), ((2,), ALL_GRADE_LEVELS))
+        "Few-mixed", calibration_groups=(((1,), BEST_WORST_LEVELS), ((2,), VALID_GRADES))
     ),
     "cot_best_worst": TechniquePlan(
         "CoT-best-worst", calibration_groups=(((1, 2), BEST_WORST_LEVELS),), cot=True
@@ -215,7 +214,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         text = file.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{file}: config file is not UTF-8: {exc}") from None
-    return config_from_values(parse_config_text(text))
+    try:
+        return config_from_values(parse_config_text(text))
+    except ConfigError as exc:
+        raise ConfigError(f"{file}: {exc}") from None
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -5,8 +5,10 @@ Records are validated on load — structural problems and grades inconsistent
 with the grading arithmetic are reported per file and excluded — and the
 resulting corpus is immutable.
 
-An exam's id names its transcript file, so it must be one file name: not
-empty, and holding no ``/``, ``\\`` or NUL.
+An exam's id names its transcript file ``<id>.json``, so it must be one
+file name: encodable in the file-system encoding, 1 to 250 bytes once
+encoded (so ``<id>.json`` fits a 255-byte name), and holding no ``/``,
+``\\`` or NUL.
 
 Exam schema::
 
@@ -27,6 +29,7 @@ Rubric schema::
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -128,12 +131,6 @@ class CorpusError:
 
 
 @dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    violations: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class Corpus:
     records: tuple[ExamRecord, ...]
     errors: tuple[CorpusError, ...] = ()
@@ -183,8 +180,12 @@ def _parse_task_grades(data: dict, where: str) -> TaskGrades:
 def parse_record(data: dict) -> ExamRecord:
     """Structural parse of one exam JSON document. Raises ValueError."""
     exam_id = _require(data, "id", str, "")
-    if not exam_id or any(c in exam_id for c in "/\\\0"):
-        raise ValueError(f"exam id {exam_id!r} must be one file name: not empty, no '/', '\\' or NUL")
+    try:
+        fits = 0 < len(os.fsencode(exam_id)) <= 250  # so that "<id>.json" fits a 255-byte file name
+    except UnicodeEncodeError:
+        fits = False
+    if not fits or any(c in exam_id for c in "/\\\0"):
+        raise ValueError(f"exam id {exam_id!r} must be one file name: encodable, 1 to 250 bytes, no '/', '\\' or NUL")
     year = _require(data, "year", int, "")
     pack = _require(data, "pack", str, "")
     tasks_raw = _require(data, "tasks", list, "")
@@ -209,11 +210,12 @@ def parse_record(data: dict) -> ExamRecord:
     return ExamRecord(id=exam_id, year=year, pack=pack, tasks=(tasks[0], tasks[1]), gold=gold)
 
 
-def validate_record(record: ExamRecord, half: str = HALF_TO_BETTER, trust_stored_grades: bool = False) -> ValidationResult:
+def validate_record(record: ExamRecord, half: str = HALF_TO_BETTER, trust_stored_grades: bool = False) -> tuple[str, ...]:
     """Content validation: grade ranges, text types, stored-aggregate consistency.
 
-    Violations are data, not exceptions. With ``trust_stored_grades`` the
-    stored aggregates are not compared with their recomputation.
+    Returns the violations, empty when the record is valid: they are data,
+    not exceptions. With ``trust_stored_grades`` the stored aggregates are
+    not compared with their recomputation.
     """
     violations: list[str] = []
     for position, (name, task) in enumerate(zip(TASKS, record.tasks), start=1):
@@ -231,7 +233,7 @@ def validate_record(record: ExamRecord, half: str = HALF_TO_BETTER, trust_stored
     if record.gold.final != FAIL and record.gold.final not in VALID_GRADES:
         violations.append(f"grade out of range: final = {record.gold.final}")
     if violations or trust_stored_grades:
-        return ValidationResult(not violations, tuple(violations))
+        return tuple(violations)
 
     expected = aggregate(record.gold.sub_dimensions(), half)
     for name in SECTIONS:
@@ -242,7 +244,7 @@ def validate_record(record: ExamRecord, half: str = HALF_TO_BETTER, trust_stored
         violations.append(
             f"stored final inconsistent with recomputation (expected {expected.final}, stored {record.gold.final})"
         )
-    return ValidationResult(not violations, tuple(violations))
+    return tuple(violations)
 
 
 def load_corpus(path: str | Path, trust_stored_grades: bool = False, half: str = HALF_TO_BETTER) -> Corpus:
@@ -272,9 +274,9 @@ def load_corpus(path: str | Path, trust_stored_grades: bool = False, half: str =
         if record.id in seen:
             errors.append(CorpusError(file.name, f"duplicate exam id {record.id!r}"))
             continue
-        result = validate_record(record, half, trust_stored_grades)
-        if not result.ok:
-            errors.append(CorpusError(file.name, "; ".join(result.violations)))
+        violations = validate_record(record, half, trust_stored_grades)
+        if violations:
+            errors.append(CorpusError(file.name, "; ".join(violations)))
             continue
         seen.add(record.id)
         records.append(record)

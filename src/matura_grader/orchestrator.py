@@ -23,12 +23,11 @@ from .corpus import ExamRecord, RubricSet
 from .grading import DIMENSIONS, HALF_TO_BETTER, TASKS, VALID_GRADES, ExamOutcome, aggregate
 from .prompts import (
     build_system_prompt,
-    context_intro,
-    reformat_instruction,
     render_calibration_message,
     render_candidate_block,
     render_context_blocks,
     render_reveal_gold,
+    template,
 )
 from .retrieval import ContextSelection
 
@@ -131,7 +130,7 @@ def build_zero_shot(
     candidate_block = render_candidate_block(candidate)
 
     def user_message() -> str:
-        parts = ([context_intro()] + blocks) if blocks else []
+        parts = ([template("context_intro")] + blocks) if blocks else []
         parts.append(candidate_block)
         return "\n\n".join(parts)
 
@@ -439,7 +438,7 @@ def grade_candidate(
         attempts = 1
         assessment = parse_assessment(call())
         while not assessment.valid and attempts <= retries:
-            messages.append({"role": "user", "content": reformat_instruction()})
+            messages.append({"role": "user", "content": template("reformat_instruction")})
             attempts += 1
             assessment = parse_assessment(call())
     except ChatTransportError as exc:

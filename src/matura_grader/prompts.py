@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from pathlib import Path
 
-from .corpus import ExamRecord, RubricError, RubricSet  # noqa: F401 -- re-exports RubricError, which a missing rubric raises
+from .corpus import ExamRecord, RubricSet
 from .grading import DIMENSIONS, RUBRIC_GRADES
 from .retrieval import ContextEntry, ContextSelection
 
@@ -28,11 +28,6 @@ GERMAN_DIMENSION_LABELS = {
 @lru_cache(maxsize=None)
 def template(name: str) -> str:
     return (_TEMPLATE_DIR / f"{name}.txt").read_text(encoding="utf-8").rstrip("\n")
-
-
-def output_schema_block() -> str:
-    """The literal response schema shown verbatim in every system prompt."""
-    return template("output_schema")
 
 
 def grades_line(grades: dict[str, int], final_grade: int | None = None) -> str:
@@ -61,7 +56,7 @@ def build_system_prompt(rubric: RubricSet, types: tuple[str, str], cot: bool = F
     criterion-by-criterion reasoning instruction."""
     sections = [_rubric_section(rubric, text_type) for text_type in dict.fromkeys(types)]
     prompt = template("system_prompt").format(
-        type1=types[0], type2=types[1], rubric_block="\n\n".join(sections), schema=output_schema_block()
+        type1=types[0], type2=types[1], rubric_block="\n\n".join(sections), schema=template("output_schema")
     )
     if cot:
         prompt += "\n\n" + template("cot_instruction")
@@ -119,11 +114,3 @@ def render_reveal_gold(exam: ExamRecord, positions: tuple[int, ...]) -> str:
         prefix = f"Aufgabe {position}: " if len(positions) > 1 else ""
         lines.append(prefix + grades_line(grades, exam.gold.final_as_grade() if position == positions[-1] else None))
     return template("reveal_gold").format(exam_id=exam.id, grades="; ".join(lines))
-
-
-def context_intro() -> str:
-    return template("context_intro")
-
-
-def reformat_instruction() -> str:
-    return template("reformat_instruction")

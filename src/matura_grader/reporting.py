@@ -165,34 +165,18 @@ def confusion_svg(d: DimensionReport, title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _file_key(dimension_key: str) -> str:
-    return dimension_key.replace(".", "_")
-
-
-def emit_report(report: EvaluationReport, directory: str | Path, config_hash: str | None = None) -> list[Path]:
-    """Write all report artifacts into ``directory``; returns written paths."""
+def emit_report(report: EvaluationReport, directory: str | Path, config_hash: str | None = None) -> None:
+    """Write all report artifacts into ``directory``."""
     if not report.dimensions:
         raise ValueError("report has no dimensions; nothing to write")
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    metrics_path = out / "metrics.csv"
-    with metrics_path.open("w", encoding="utf-8", newline="") as handle:
+    with (out / "metrics.csv").open("w", encoding="utf-8", newline="") as handle:
         csv.writer(handle, lineterminator="\n").writerows(metrics_csv_rows(report))
-    written.append(metrics_path)
-
-    md_path = out / "report.md"
-    md_path.write_text(render_report_md(report, config_hash), encoding="utf-8")
-    written.append(md_path)
-
+    (out / "report.md").write_text(render_report_md(report, config_hash), encoding="utf-8")
     for key in DIMENSION_KEYS:
         d = report.dimensions[key]
-        csv_path = out / f"confusion_{_file_key(key)}.csv"
-        with csv_path.open("w", encoding="utf-8", newline="") as handle:
+        name = f"confusion_{key.replace('.', '_')}"
+        with (out / f"{name}.csv").open("w", encoding="utf-8", newline="") as handle:
             csv.writer(handle, lineterminator="\n").writerows(confusion_csv_rows(d))
-        written.append(csv_path)
-        svg_path = out / f"confusion_{_file_key(key)}.svg"
-        svg_path.write_text(confusion_svg(d, f"{report.technique}: {key}"), encoding="utf-8")
-        written.append(svg_path)
-    return written
+        (out / f"{name}.svg").write_text(confusion_svg(d, f"{report.technique}: {key}"), encoding="utf-8")

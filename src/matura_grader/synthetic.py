@@ -58,18 +58,14 @@ def rubric_document(text_type: str) -> dict:
     return {"text_type": text_type, "summary": TYPE_SUMMARIES[text_type], "dimensions": dimensions}
 
 
-def write_rubrics(directory: str | Path) -> list[Path]:
+def write_rubrics(directory: str | Path) -> None:
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     for i, text_type in enumerate(sorted(TYPE_SUMMARIES), start=1):
-        path = out / f"rubric_{i:02d}.json"
-        path.write_text(
+        (out / f"rubric_{i:02d}.json").write_text(
             json.dumps(rubric_document(text_type), ensure_ascii=False, sort_keys=True, indent=1) + "\n",
             encoding="utf-8",
         )
-        written.append(path)
-    return written
 
 
 def _sentence(rng: random.Random, topic: list[str], words: tuple[str, ...]) -> str:

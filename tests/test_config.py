@@ -97,6 +97,22 @@ def test_load_config_names_a_file_that_is_not_utf8(tmp_path):
     assert str(raised.value).startswith(f"{path}: "), str(raised.value)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("technique = baseline\ntechnique = few_mixed\n", "line 2: config key 'technique' is already set on line 1"),
+        ("tecnique = baseline\n", "line 1: unknown config key 'tecnique'"),
+        ("technique.k = vier\n", "technique.k must be an integer, got 'vier'"),
+    ],
+)
+def test_load_config_names_the_file_in_every_config_error(tmp_path, text, message):
+    path = tmp_path / "exp.conf"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as raised:
+        load_config(path)
+    assert str(raised.value) == f"{path}: {message}"
+
+
 def test_load_config_file(tmp_path):
     path = tmp_path / "exp.conf"
     path.write_text("technique = few_mixed\nordering = inverted\n", encoding="utf-8")

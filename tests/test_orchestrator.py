@@ -10,7 +10,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from matura_grader.clients import ChatClient, ChatTransportError, MockChatClient, assessment_json
-from matura_grader.corpus import RubricSet
+from matura_grader.corpus import RubricError, RubricSet
 from matura_grader.grading import DIMENSIONS, FAIL, HALF_TO_BETTER, HALF_TO_WORSE, TASKS, VALID_GRADES, aggregate
 from matura_grader.orchestrator import (
     ORDERINGS,
@@ -26,14 +26,11 @@ from matura_grader.orchestrator import (
     parse_assessment,
 )
 from matura_grader.prompts import (
-    RubricError,
     build_system_prompt,
-    context_intro,
-    output_schema_block,
-    reformat_instruction,
     render_calibration_message,
     render_reference_block,
     render_reveal_gold,
+    template,
 )
 from matura_grader.retrieval import ContextSelection, _entry_for, select_best_average_worst
 
@@ -77,7 +74,7 @@ def test_system_prompt_contains_all_descriptors_verbatim(rubric):
         for dim in DIMENSIONS:
             for grade in (1, 2, 3, 4):
                 assert rubric.descriptor(text_type, dim, grade) in prompt
-    assert output_schema_block() in prompt
+    assert template("output_schema") in prompt
     assert "Note 5" in prompt  # failure semantics of grade 5
 
 
@@ -181,7 +178,7 @@ def test_zero_shot_budgeted_message_is_the_kept_prefix_message(rubric, small_cor
         assert warnings == expected_warnings, budget
     assert {0, len(ctx.entries)} <= seen
     bare = build_zero_shot(candidate, ctx, rubric, token_budget=0).turns[0].content
-    assert context_intro() not in bare
+    assert template("context_intro") not in bare
     assert bare == build_zero_shot(candidate, ContextSelection(), rubric).turns[0].content
 
 
@@ -688,5 +685,5 @@ def test_grade_candidate_transport_error_keeps_the_conversation_so_far(rubric, s
     conversation = [{"role": "system", "content": script.system}]
     for round_turns in zip(user(CalibrationUser), said, user(RevealGold)):
         conversation += round_turns
-    conversation += user(CandidateUser) + [said[3], {"role": "user", "content": reformat_instruction()}]
+    conversation += user(CandidateUser) + [said[3], {"role": "user", "content": template("reformat_instruction")}]
     assert outcome.transcript == tuple(conversation[:sent])

@@ -27,10 +27,10 @@ from matura_grader.grading import DIMENSIONS
 from matura_grader.metrics import DIMENSION_KEYS, build_report
 from matura_grader.orchestrator import ORDERINGS, GradeOutcome
 from matura_grader.prompts import (
-    context_intro,
     render_calibration_message,
     render_candidate_block,
     render_context_blocks,
+    template,
 )
 from matura_grader.retrieval import EmbeddingError, FallbackEmbedder, TaskTextIndex
 from matura_grader.runner import (
@@ -724,7 +724,7 @@ def test_candidate_script_selection_renders_to_the_references_it_sends(
         script, selection = build_candidate_script(replace(inputs, cfg=replace(cfg, token_budget=budget)), candidate)
         blocks = render_context_blocks(selection, candidate)
         assert script.turns[0].content == "\n\n".join(
-            ([context_intro(), *blocks] if blocks else []) + [render_candidate_block(candidate)]
+            ([template("context_intro"), *blocks] if blocks else []) + [render_candidate_block(candidate)]
         ), budget
         assert len(selection.entries) == len(built.entries) - script.dropped_context
         seen.add(len(selection.entries))

@@ -6,9 +6,9 @@ with the grading arithmetic are reported per file and excluded — and the
 resulting corpus is immutable.
 
 An exam's id names its transcript file ``<id>.json``, so it must be one
-file name: encodable in the file-system encoding, 1 to 250 bytes once
-encoded (so ``<id>.json`` fits a 255-byte name), and holding no ``/``,
-``\\`` or NUL.
+file name: encodable as strict UTF-8 (a lone surrogate is not), 1 to 250
+bytes once encoded (so ``<id>.json`` fits a 255-byte name), and holding no
+``/``, ``\\`` or NUL. Every artifact that holds the id is written as UTF-8.
 
 Exam schema::
 
@@ -29,7 +29,6 @@ Rubric schema::
 from __future__ import annotations
 
 import json
-import os
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -181,7 +180,8 @@ def parse_record(data: dict) -> ExamRecord:
     """Structural parse of one exam JSON document. Raises ValueError."""
     exam_id = _require(data, "id", str, "")
     try:
-        fits = 0 < len(os.fsencode(exam_id)) <= 250  # so that "<id>.json" fits a 255-byte file name
+        # Strict UTF-8, as every artifact is written; at most 250 bytes, so "<id>.json" fits a 255-byte name.
+        fits = 0 < len(exam_id.encode("utf-8")) <= 250
     except UnicodeEncodeError:
         fits = False
     if not fits or any(c in exam_id for c in "/\\\0"):

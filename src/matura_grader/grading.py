@@ -67,10 +67,6 @@ class ExamOutcome:
     final: int | str  # 1..4 or FAIL
     fail_reason: str | None = None
 
-    def final_as_grade(self) -> int:
-        """Final grade with FAIL mapped to 5, for metric purposes."""
-        return final_to_grade(self.final)
-
 
 def _check_grade(value: int, name: str = "grade") -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value not in VALID_GRADES:

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import Corpus
-from .grading import DIMENSIONS, TASKS, VALID_GRADES
+from .grading import DIMENSIONS, TASKS, VALID_GRADES, final_to_grade
 
 DIMENSION_KEYS = ("final",) + tuple(f"{task}.{dim}" for task in TASKS for dim in DIMENSIONS)
 
@@ -108,26 +109,39 @@ class EvaluationReport:
     errored: tuple[str, ...] = ()
 
 
-def _dimension_pairs(outcome, record) -> list[tuple[int, int]]:
+class Prediction(NamedTuple):
+    """One candidate's prediction line as a report scores it.
+
+    ``grades`` maps each of TASKS to its dimension grades and ``final`` is
+    their aggregated final grade, an integer or FAIL. Both are None unless
+    the line is a valid prediction.
+    """
+
+    exam_id: str
+    error: str | None
+    grades: dict[str, dict[str, int]] | None
+    final: int | str | None
+
+
+def _dimension_pairs(prediction: Prediction, record) -> list[tuple[int, int]]:
     """(predicted, gold) for each of DIMENSION_KEYS, in that order."""
-    predicted = outcome.assessment.sub_dimensions()
-    pairs = [(outcome.derived.final_as_grade(), record.gold.final_as_grade())]
+    pairs = [(final_to_grade(prediction.final), record.gold.final_as_grade())]
     for position, task in enumerate(TASKS, start=1):
-        pairs.extend((predicted[task][dim], gold) for dim, gold in zip(DIMENSIONS, record.gold.task(position)))
+        pairs.extend((prediction.grades[task][dim], gold) for dim, gold in zip(DIMENSIONS, record.gold.task(position)))
     return pairs
 
 
-def build_report(technique: str, outcomes: list, corpus: Corpus) -> EvaluationReport:
-    """Per-dimension agreement reports over one experiment's outcomes.
+def build_report(technique: str, predictions: list[Prediction], corpus: Corpus) -> EvaluationReport:
+    """Per-dimension agreement reports over one experiment's predictions.
 
-    Invalid or errored outcomes are excluded from the metric pairs but kept
-    in the invalid count.
+    Invalid or errored predictions are excluded from the metric pairs but
+    kept in the invalid count.
     """
-    if not outcomes:
+    if not predictions:
         raise ValueError("cannot build a report from zero outcomes")
-    valid = [o for o in outcomes if o.valid]
-    invalid_count = len(outcomes) - len(valid)
-    errored = tuple(sorted(o.exam_id for o in outcomes if o.error is not None))
+    valid = [p for p in predictions if p.grades is not None]
+    invalid_count = len(predictions) - len(valid)
+    errored = tuple(sorted(p.exam_id for p in predictions if p.error is not None))
 
     dimensions: dict[str, DimensionReport] = {}
     if not valid:
@@ -136,8 +150,8 @@ def build_report(technique: str, outcomes: list, corpus: Corpus) -> EvaluationRe
             confusion=tuple((0,) * 5 for _ in range(5)), n=0, invalid_count=invalid_count,
         )
         dimensions = dict.fromkeys(DIMENSION_KEYS, empty)
-    # one row of pairs per valid outcome, read column by column
-    columns = zip(*(_dimension_pairs(o, corpus.get(o.exam_id)) for o in valid))
+    # one row of pairs per valid prediction, read column by column
+    columns = zip(*(_dimension_pairs(p, corpus.get(p.exam_id)) for p in valid))
     for key, pairs in zip(DIMENSION_KEYS, columns):
         series = GradeSeries(*zip(*pairs))
         accuracy, confusion = accuracy_and_confusion(series)

@@ -26,13 +26,12 @@ from .clients import ChatClient, HttpChatClient, MockChatClient, parse_policy
 from .config import ConfigError, ExperimentConfig, TechniquePlan, config_hash, technique_plan
 from .corpus import Corpus, ExamRecord, RubricSet, load_corpus, load_rubrics
 from .grading import TASKS, VALID_GRADES, aggregate
-from .metrics import EvaluationReport, build_report
+from .metrics import EvaluationReport, Prediction, build_report
 from .orchestrator import (
     CalibrationItem,
     ConversationScript,
     GradeOutcome,
     GuessTable,
-    ModelAssessment,
     build_few_shot_script,
     build_zero_shot,
     grade_candidate,
@@ -354,8 +353,9 @@ def rescore_predictions(
 ) -> EvaluationReport:
     """The EvaluationReport of a predictions file: ``run`` builds its report
     from the file it has just written, and ``metrics --pred`` from a stored
-    one, so both score a prediction line the same way."""
-    outcomes: list[GradeOutcome] = []
+    one, so both score a prediction line the same way. Every line must name
+    an exam of ``corpus``."""
+    predictions: list[Prediction] = []
     first_lines: dict[str, int] = {}
     raw = Path(predictions_path).read_bytes()
     try:
@@ -375,39 +375,28 @@ def rescore_predictions(
             raise ValueError(f"{where}: not valid JSON ({exc})") from None
         if not isinstance(data, dict) or not isinstance(data.get("id"), str):
             raise ValueError(f"{where}: a prediction must be a JSON object with a string id")
-        first = first_lines.setdefault(data["id"], number)
+        exam_id, error = data["id"], data.get("error")
+        if exam_id not in corpus.by_id:
+            raise ValueError(f"{where}: no exam {exam_id!r} in the gold corpus")
+        first = first_lines.setdefault(exam_id, number)
         if first != number:
-            raise ValueError(f"{where}: duplicate prediction for {data['id']!r} (first on line {first})")
-        if not isinstance(data.get("valid"), bool) or not isinstance(data.get("error"), (str, type(None))):
+            raise ValueError(f"{where}: duplicate prediction for {exam_id!r} (first on line {first})")
+        if not isinstance(data.get("valid"), bool) or not isinstance(error, (str, type(None))):
             raise ValueError(f"{where}: a prediction's valid must be true or false, and its error null or a string")
-        assessment = None
-        derived = None
+        grades = final = None
         if data.get("assessment"):
             block = data["assessment"]
             if not isinstance(block, dict):
                 raise ValueError(f"{where}: assessment must be an object, got {type(block).__name__}")
-            valid = data["valid"] and not data.get("error")
-            if valid and not all(isinstance(block.get(task), dict) for task in TASKS):
-                raise ValueError(f"{where}: a valid prediction needs objects as " + " and ".join(TASKS))
-            assessment = ModelAssessment(
-                **{task: block.get(task) for task in TASKS},
-                feedback=block.get("feedback") or {},
-                valid=valid,
-                failure_reason=block.get("failure_reason"),
-            )
-            if valid:
+            if data["valid"] and not error:
+                if not all(isinstance(block.get(task), dict) for task in TASKS):
+                    raise ValueError(f"{where}: a valid prediction needs objects as " + " and ".join(TASKS))
+                grades = {task: block[task] for task in TASKS}
                 try:
-                    derived = aggregate(assessment.sub_dimensions(), half)
+                    final = aggregate(grades, half).final
                 except ValueError as exc:
                     raise ValueError(f"{where}: {exc}") from None
-        outcomes.append(
-            GradeOutcome(
-                exam_id=data["id"],
-                assessment=assessment,
-                derived=derived,
-                transcript=(),
-                attempts=data.get("attempts", 0),
-                error=data.get("error"),
-            )
-        )
-    return build_report(technique, outcomes, corpus)
+        if error is not None:  # an empty error string still marks the line errored
+            grades = final = None
+        predictions.append(Prediction(exam_id, error, grades, final))
+    return build_report(technique, predictions, corpus)

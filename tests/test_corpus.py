@@ -253,7 +253,7 @@ def test_load_corpus_rejects_duplicate_ids(tmp_path, synthetic_dirs_30):
 
 
 @pytest.mark.parametrize(
-    "bad_id", ["", "../../escaped", "sub/exam-004", "sub\\exam-004", "exam\0004", "exam-\ud800", "x" * 300]
+    "bad_id", ["", "../../escaped", "sub/exam-004", "sub\\exam-004", "exam\0004", "exam-\ud800", "exam-\udcff", "x" * 300]
 )
 def test_an_exam_id_that_is_not_one_file_name_is_skipped(bad_id, tmp_path, synthetic_dirs_30, capsys):
     exam_dir, _ = synthetic_dirs_30
@@ -339,6 +339,45 @@ def test_parse_record_requires_two_tasks():
     doc["tasks"] = doc["tasks"][:1]
     with pytest.raises(ValueError, match="exactly 2 tasks"):
         parse_record(doc)
+
+
+def _without_final(doc):
+    del doc["gold"]["final"]
+
+
+@pytest.mark.parametrize(
+    "edit,reason",
+    [
+        (_without_final, "missing field gold.final"),
+        (lambda doc: doc["gold"].update(final=2.5), 'field gold.final must be an integer or "fail", got 2.5'),
+        (lambda doc: doc["gold"]["task1"].update(content="3"), "field gold.task1.content must be an integer, got '3'"),
+        (
+            lambda doc: doc["gold"]["task2"].update(style_expression=True),
+            "field gold.task2.style_expression must be an integer, got True",
+        ),
+    ],
+    ids=["missing_final", "fractional_final", "string_grade", "bool_grade"],
+)
+def test_parse_record_rejects_a_malformed_gold_grade(edit, reason):
+    doc = _record_json(make_record("t-5", (2, 2, 2, 2), (3, 3, 3, 3)))
+    edit(doc)
+    with pytest.raises(ValueError) as raised:
+        parse_record(doc)
+    assert str(raised.value) == reason
+
+
+@pytest.mark.parametrize(
+    "edit,violation",
+    [
+        (lambda doc: doc["tasks"][1].update(body=" \x01\n\t "), "task 2 body is empty after normalization"),
+        (lambda doc: doc["gold"].update(final=6), "grade out of range: final = 6"),
+    ],
+    ids=["empty_body", "final_out_of_range"],
+)
+def test_validate_record_reports_the_violation(edit, violation):
+    doc = _record_json(make_record("t-6", (2, 2, 2, 2), (2, 2, 2, 2)))
+    edit(doc)
+    assert validate_record(parse_record(doc)) == (violation,)
 
 
 def test_validate_record_unknown_text_type():

@@ -9,14 +9,15 @@ from matura_grader.grading import DIMENSIONS
 from matura_grader.metrics import (
     DIMENSION_KEYS,
     GradeSeries,
+    Prediction,
     accuracy_and_confusion,
     build_report,
     mae,
     pcc,
     qwk,
 )
-from matura_grader.orchestrator import GradeOutcome, ModelAssessment
 from matura_grader.grading import aggregate
+from matura_grader.reporting import metrics_csv_rows
 
 from conftest import make_corpus, make_record
 
@@ -186,12 +187,10 @@ def test_perfect_accuracy_implies_zero_mae_and_unit_qwk():
         assert qwk(s) == 1.0
 
 
-def _outcome(exam_id: str, grades: dict[str, dict[str, int]] | None, error: str | None = None) -> GradeOutcome:
+def _outcome(exam_id: str, grades: dict[str, dict[str, int]] | None, error: str | None = None) -> Prediction:
     if grades is None:
-        assessment = None if error else ModelAssessment(None, None, failure_reason="no JSON object found")
-        return GradeOutcome(exam_id, assessment, None, transcript=(), error=error)
-    assessment = ModelAssessment(grades["task1"], grades["task2"], valid=True)
-    return GradeOutcome(exam_id, assessment, aggregate(grades), transcript=())
+        return Prediction(exam_id, error, None, None)
+    return Prediction(exam_id, None, grades, aggregate(grades).final)
 
 
 def _uniform(g: int) -> dict[str, dict[str, int]]:
@@ -267,6 +266,21 @@ def test_build_report_marks_errored_candidates():
     assert report.errored == (records[2].id,)
     assert report.invalid_count == 1
     assert report.n == 2
+
+
+def test_build_report_over_one_valid_prediction_leaves_qwk_and_pcc_empty():
+    records = [make_record(f"o-{i}", (2,) * 4, (3,) * 4) for i in range(2)]
+    predictions = [_outcome(records[0].id, _uniform(3)), _outcome(records[1].id, None, error="timeout")]
+    report = build_report("one", predictions, make_corpus(records))
+    assert report.n == 1 and report.invalid_count == 1
+    for key in DIMENSION_KEYS:
+        assert report.dimensions[key].qwk is None and report.dimensions[key].pcc is None
+        assert report.dimensions[key].accuracy is not None and report.dimensions[key].mae is not None
+    header, *rows = metrics_csv_rows(report)
+    assert len(rows) == len(DIMENSION_KEYS)
+    for row in rows:
+        cells = dict(zip(header, row))
+        assert cells["qwk"] == cells["pcc"] == "" and cells["mae"] and cells["accuracy"]
 
 
 def test_build_report_rejects_empty():

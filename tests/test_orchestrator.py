@@ -365,6 +365,13 @@ def test_parse_assessment_non_integer_grade():
     assert "grade not an integer: task1.content" in assessment.failure_reason
 
 
+def test_parse_assessment_missing_grade():
+    task1 = {d: 2 for d in DIMENSIONS if d != "content"}
+    assessment = parse_assessment(json.dumps({"task1": task1, "task2": {d: 2 for d in DIMENSIONS}}))
+    assert not assessment.valid
+    assert "missing grade: task1.content" in assessment.failure_reason
+
+
 def test_parse_assessment_feedback_must_be_string():
     raw = json.dumps(
         {

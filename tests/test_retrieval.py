@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from matura_grader.config import TECHNIQUES
 from matura_grader.corpus import load_corpus, normalize_text
-from matura_grader.grading import DIMENSIONS
+from matura_grader.grading import DIMENSIONS, VALID_GRADES
 from matura_grader.retrieval import (
     ALL_GRADES,
     BEST_AVERAGE_WORST,
@@ -809,8 +809,8 @@ def test_integer_path_serves_every_fallback_query(corpus_60_with_ties):
 
 @pytest.mark.parametrize(
     "odd_vector",
-    [(1.0, -1.0, 2.0, 0.0), (1.0, 0.5, 2.0, 0.0)],
-    ids=["negative", "fractional"],
+    [(1.0, -1.0, 2.0, 0.0), (1.0, 0.5, 2.0, 0.0), (1, 3, 2, 0)],
+    ids=["negative", "fractional", "int"],
 )
 def test_pool_with_an_odd_vector_takes_the_float_path(odd_vector):
     vectors = _random_counts("float-path", 12, 4)
@@ -938,3 +938,46 @@ def test_most_similar_warns_only_past_the_pool():
         "task 1: pool has only 3 texts, requested 4",
         "task 2: pool has only 3 texts, requested 4",
     )
+
+
+# Every (positions, levels) group a technique asks for, and all five levels
+# over both tasks.
+_CALIBRATION_GROUPS = tuple(
+    dict.fromkeys([group for plan in TECHNIQUES.values() for group in plan.calibration_groups] + [((1, 2), VALID_GRADES)])
+)
+_LEMMA_GRADES = st.tuples(*[st.integers(1, 3)] * 4)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(st.tuples(_LEMMA_GRADES, _LEMMA_GRADES), min_size=1, max_size=12),
+    st.data(),
+)
+def test_a_candidate_outside_the_pack_wide_picks_gets_exactly_those_picks(grades, data):
+    # No selection key depends on the candidate: pack means cover the full
+    # pool and the manifest is per pack. So the picks made with no exclusion
+    # are every candidate's picks but their own. Grades drawn from 1-3 make
+    # many ties, which the id tie-break settles.
+    corpus = make_corpus(
+        [make_record(f"l-{i:02d}", task1, task2, body1="a", body2="b") for i, (task1, task2) in enumerate(grades)]
+    )
+    pool = corpus.pool(2023, "pack-a")
+    ids = [record.id for record in pool]
+    manifest = data.draw(st.none() | st.dictionaries(st.sampled_from(VALID_GRADES), st.sampled_from(ids + ["l-99"])))
+    for positions, levels in _CALIBRATION_GROUPS:
+        picks = select_grade_exemplars(corpus, 2023, "pack-a", levels, manifest=manifest, positions=positions)
+        expected = [(level, record.id) for level, record in picks]
+        for candidate in pool:
+            if candidate.id not in {record.id for _, record in picks}:
+                got = select_grade_exemplars(
+                    corpus, 2023, "pack-a", levels, exclude_id=candidate.id, manifest=manifest, positions=positions
+                )
+                assert [(level, record.id) for level, record in got] == expected, (candidate.id, positions, levels)
+    if len(pool) < 4:
+        return
+    for positions in ((1, 2), (1,), (2,)):
+        shared = select_best_average_worst(corpus, 2023, "pack-a", positions=positions)
+        for candidate in pool:
+            if candidate.id not in {entry.exam_id for entry in shared.entries}:
+                got = select_best_average_worst(corpus, 2023, "pack-a", exclude_id=candidate.id, positions=positions)
+                assert got == shared, (candidate.id, positions)

@@ -24,7 +24,7 @@ from matura_grader.clients import ChatClient, ChatTransportError, MockChatClient
 from matura_grader.config import TECHNIQUES, config_from_values
 from matura_grader.corpus import load_corpus, normalize_text
 from matura_grader.grading import DIMENSIONS
-from matura_grader.metrics import DIMENSION_KEYS, build_report
+from matura_grader.metrics import DIMENSION_KEYS, Prediction, build_report
 from matura_grader.orchestrator import ORDERINGS, GradeOutcome
 from matura_grader.prompts import (
     render_calibration_message,
@@ -189,8 +189,8 @@ def test_build_report_receives_outcomes_without_transcripts(synthetic_dirs_25, t
     out = tmp_path / "out"
     report = run_experiment(_cfg(exam_dir, rubric_dir, out, technique="few_best_worst"))
     assert report.n == 25 and len(received) == 25
-    assert all(o.transcript == () and o.guesses == () for o in received)
-    assert all(o.valid and o.derived is not None for o in received)
+    assert all(isinstance(p, Prediction) for p in received)
+    assert all(p.error is None and p.grades is not None and p.final is not None for p in received)
     transcript = json.loads((out / "transcripts" / f"{received[0].exam_id}.json").read_text())
     assert len(transcript["guesses"]) == 3 and transcript["messages"]
 
@@ -817,6 +817,9 @@ _ALL_THREES = {task: dict.fromkeys(DIMENSIONS, 3) for task in ("task1", "task2")
         '{"id": "exam-002", "assessment": null}',
         '{"id": "exam-002", "valid": false, "error": 1, "assessment": null}',
         '{"id": "exam-002", "valid": false, "error": ["timeout"], "assessment": null}',
+        # An exam the gold corpus lacks, in a valid and in an invalid line.
+        json.dumps({"id": "exam-999", "valid": True, "error": None, "assessment": _ALL_THREES}),
+        '{"id": "exam-999", "valid": false, "error": "timeout", "assessment": null}',
     ],
 )
 def test_cli_metrics_rejects_malformed_prediction_line(line, synthetic_dirs_25, corpus_25, tmp_path, capsys):
@@ -981,6 +984,24 @@ def test_cli_empty_corpus_is_fatal(command, synthetic_dirs_25, tmp_path, capsys)
     argv = [command, "--config", str(config_file)] + (["--candidate", "exam-001"] if command == "context" else [])
     assert main(argv) == 2
     assert f"no usable exams in {empty}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,code,message",
+    [
+        ("run", 2, "run: --config is required (or use --print-defaults)"),
+        ("metrics", 1, "no usable exams in {empty}"),
+    ],
+)
+def test_cli_exit_code_without_usable_input(command, code, message, tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "broken.json").write_text("{not json", encoding="utf-8")
+    pred = tmp_path / "predictions.jsonl"
+    pred.write_text(json.dumps({"id": "exam-001", "valid": False, "error": "timeout", "assessment": None}) + "\n")
+    argv = ["run"] if command == "run" else ["metrics", "--pred", str(pred), "--gold", str(empty)]
+    assert main(argv) == code
+    assert message.format(empty=empty) in capsys.readouterr().err
 
 
 class _CountingEmbedder(FallbackEmbedder):

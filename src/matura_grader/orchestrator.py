@@ -1,4 +1,10 @@
-"""Conversation building and turn driving.
+"""Conversation building, turn driving and reply parsing.
+
+This module stops at the model's grade sheet: ``grade_candidate`` drives the
+turns and ``parse_assessment`` checks the reply, and a sheet is valid exactly
+when it has no ``failure_reason``. Folding a valid sheet into section and
+final grades (``grading.aggregate``) is left to the prediction writer and
+the report reader in ``runner``.
 
 Zero-shot scripts put reference texts (with their gold grades) and the
 candidate's two tasks into a single user message. Few-shot scripts walk the
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .clients import ChatClient, ChatTransportError
 from .corpus import ExamRecord, RubricSet
-from .grading import DIMENSIONS, HALF_TO_BETTER, TASKS, VALID_GRADES, ExamOutcome, aggregate
+from .grading import DIMENSIONS, TASKS, VALID_GRADES
 from .prompts import (
     build_system_prompt,
     render_calibration_message,
@@ -195,13 +201,11 @@ class ModelAssessment:
     task1: dict[str, int] | None
     task2: dict[str, int] | None
     feedback: dict[str, str] = field(default_factory=dict)
-    valid: bool = False
     failure_reason: str | None = None
 
-    def sub_dimensions(self) -> dict[str, dict[str, int]]:
-        if not self.valid:
-            raise ValueError(f"assessment is not valid: {self.failure_reason}")
-        return {task: dict(getattr(self, task)) for task in TASKS}
+    @property
+    def valid(self) -> bool:
+        return self.failure_reason is None
 
 
 # Caps on the search for a reply's JSON object; see ``_first_json_object``.
@@ -333,14 +337,13 @@ def parse_assessment(raw: str) -> ModelAssessment:
         return ModelAssessment(
             **{task: grades.get(task) for task in TASKS}, feedback=feedback, failure_reason="; ".join(violations)
         )
-    return ModelAssessment(**grades, feedback=feedback, valid=True)
+    return ModelAssessment(**grades, feedback=feedback)
 
 
 @dataclass(frozen=True)
 class GradeOutcome:
     exam_id: str
     assessment: ModelAssessment | None
-    derived: ExamOutcome | None
     transcript: tuple[dict[str, str], ...]
     guesses: tuple[str, ...] = ()
     attempts: int = 0
@@ -403,7 +406,6 @@ def grade_candidate(
     client: ChatClient,
     script: ConversationScript,
     retries: int = 0,
-    half: str = HALF_TO_BETTER,
     guess_table: GuessTable | None = None,
 ) -> GradeOutcome:
     """Drive one conversation through the client and parse the result.
@@ -447,7 +449,6 @@ def grade_candidate(
     return GradeOutcome(
         exam_id=script.candidate_id,
         assessment=assessment,
-        derived=aggregate(assessment.sub_dimensions(), half) if assessment is not None and assessment.valid else None,
         transcript=tuple(messages),
         guesses=tuple(guesses),
         attempts=attempts,

@@ -3,8 +3,11 @@
 Resolves the configured technique into per-candidate context selections and
 conversation scripts, drives the chat client over every exam (optionally in
 parallel), and writes metrics, confusion matrices, per-candidate transcripts
-and predictions into the output directory. With mock clients the whole run
-is deterministic in (config, corpus, seed).
+and predictions into the output directory. The grading arithmetic lives
+here, not in ``orchestrator``: the prediction writer folds each valid grade
+sheet into its final grade, and the report is read back from the prediction
+lines, both through ``grading.aggregate`` under ``grading.round_half``. With
+mock clients the whole run is deterministic in (config, corpus, seed).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import TextIO
 
 from .clients import ChatClient, HttpChatClient, MockChatClient, parse_policy
 from .config import ConfigError, ExperimentConfig, TechniquePlan, config_hash, technique_plan
-from .corpus import Corpus, ExamRecord, RubricSet, load_corpus, load_rubrics
+from .corpus import Corpus, ExamRecord, RubricError, RubricSet, load_corpus, load_rubrics
 from .grading import TASKS, VALID_GRADES, aggregate
 from .metrics import EvaluationReport, Prediction, build_report
 from .orchestrator import (
@@ -150,7 +153,9 @@ def build_candidate_script(inputs: RunInputs, candidate: ExamRecord) -> tuple[Co
     return build_few_shot_script(items, inputs.cfg.ordering, candidate, rubrics, cot=plan.cot, token_budget=budget), None
 
 
-def _outcome_record(outcome: GradeOutcome) -> dict:
+def _outcome_record(outcome: GradeOutcome, half: str) -> dict:
+    """One prediction line: the parsed sheet as the model gave it and, for a
+    valid outcome, its final grade folded under ``half``."""
     assessment = None
     if outcome.assessment is not None:
         assessment = {
@@ -164,7 +169,7 @@ def _outcome_record(outcome: GradeOutcome) -> dict:
         "error": outcome.error,
         "attempts": outcome.attempts,
         "assessment": assessment,
-        "derived_final": None if outcome.derived is None else outcome.derived.final,
+        "derived_final": aggregate(assessment, half).final if outcome.valid else None,
     }
 
 
@@ -186,7 +191,9 @@ def load_run_inputs(cfg: ExperimentConfig, embedder=None) -> RunInputs:
     when the technique needs one (with ``embedder``, or the configured one,
     which is closed once the index is built).
 
-    Raises RuntimeError when the corpus holds no usable exam."""
+    Raises RuntimeError when the corpus holds no usable exam, and
+    RubricError naming the first exam and task, in corpus order, whose text
+    type has no rubric."""
     manifest = load_exemplar_manifest(cfg.exemplars_path)
     corpus = load_corpus(cfg.corpus_path, trust_stored_grades=cfg.trust_stored_grades, half=cfg.round_half)
     if not corpus.records:
@@ -195,6 +202,10 @@ def load_run_inputs(cfg: ExperimentConfig, embedder=None) -> RunInputs:
         logger.warning("corpus: skipped %s (%s)", error.file, error.reason)
     warn_unused_manifest_entries(manifest, corpus)
     rubrics = load_rubrics(cfg.rubric_path)
+    for record in corpus.records:
+        for number, task in enumerate(record.tasks, start=1):
+            if task.text_type not in rubrics.summaries:
+                raise RubricError(f"exam {record.id!r} task {number}: no rubric for text type {task.text_type!r}")
     plan = technique_plan(cfg)
     index = None
     if plan.needs_index:
@@ -236,10 +247,10 @@ def run_experiment(cfg: ExperimentConfig, client: ChatClient | None = None, embe
     def grade_one(candidate: ExamRecord) -> GradeOutcome:
         try:
             script, _ = build_candidate_script(inputs, candidate=candidate)
-            return grade_candidate(client, script, retries=cfg.retries, half=cfg.round_half, guess_table=guess_table)
+            return grade_candidate(client, script, retries=cfg.retries, guess_table=guess_table)
         except Exception as exc:  # crash isolation: one candidate must not sink the run
             logger.exception("candidate %s failed", candidate.id)
-            return GradeOutcome(candidate.id, None, None, transcript=(), error=f"internal: {exc}")
+            return GradeOutcome(candidate.id, None, transcript=(), error=f"internal: {exc}")
 
     out = Path(cfg.output_dir)
     with ExitStack() as stack:
@@ -262,7 +273,7 @@ def run_experiment(cfg: ExperimentConfig, client: ChatClient | None = None, embe
                 predictions = stack.enter_context(
                     (out / _PARTIAL_PREDICTIONS).open("w", encoding="utf-8", errors=_MODEL_TEXT_ERRORS)
                 )
-            _write_outcome(out, predictions, outcome)
+            _write_outcome(out, predictions, outcome, cfg.round_half)
 
     report = rescore_predictions(out / _PARTIAL_PREDICTIONS, inputs.corpus, inputs.plan.label, cfg.round_half)
     _write_artifacts(cfg, report, client, started, guess_table.reused)
@@ -298,9 +309,10 @@ _PARTIAL_PREDICTIONS = "predictions.jsonl.partial"
 _MODEL_TEXT_ERRORS = "backslashreplace"
 
 
-def _write_outcome(out: Path, predictions: TextIO, outcome: GradeOutcome) -> None:
-    """Append one candidate's prediction line and write its transcript."""
-    predictions.write(json.dumps(_outcome_record(outcome), ensure_ascii=False, sort_keys=True) + "\n")
+def _write_outcome(out: Path, predictions: TextIO, outcome: GradeOutcome, half: str) -> None:
+    """Append one candidate's prediction line, its final grade folded under
+    ``half``, and write its transcript."""
+    predictions.write(json.dumps(_outcome_record(outcome, half), ensure_ascii=False, sort_keys=True) + "\n")
     payload = {
         "exam_id": outcome.exam_id,
         "messages": list(outcome.transcript),
@@ -354,7 +366,8 @@ def rescore_predictions(
     """The EvaluationReport of a predictions file: ``run`` builds its report
     from the file it has just written, and ``metrics --pred`` from a stored
     one, so both score a prediction line the same way. Every line must name
-    an exam of ``corpus``."""
+    an exam of ``corpus``, and a file with no line but blank ones is an
+    error naming the file."""
     predictions: list[Prediction] = []
     first_lines: dict[str, int] = {}
     raw = Path(predictions_path).read_bytes()
@@ -399,4 +412,6 @@ def rescore_predictions(
         if error is not None:  # an empty error string still marks the line errored
             grades = final = None
         predictions.append(Prediction(exam_id, error, grades, final))
+    if not predictions:
+        raise ValueError(f"{predictions_path}: holds no prediction line")
     return build_report(technique, predictions, corpus)

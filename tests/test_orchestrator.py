@@ -9,6 +9,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from matura_grader import runner
 from matura_grader.clients import ChatClient, ChatTransportError, MockChatClient, assessment_json
 from matura_grader.corpus import RubricError, RubricSet
 from matura_grader.grading import DIMENSIONS, FAIL, HALF_TO_BETTER, HALF_TO_WORSE, TASKS, VALID_GRADES, aggregate
@@ -499,10 +500,11 @@ _ANY_GRADE = st.sampled_from(VALID_GRADES) | st.integers(-1, 7) | st.booleans() 
 def test_valid_assessment_always_aggregates(raw):
     assessment = parse_assessment(raw)
     event(f"valid={assessment.valid}")
+    assert assessment.valid == (assessment.failure_reason is None)
     if not assessment.valid:
         return
     for half in (HALF_TO_BETTER, HALF_TO_WORSE):
-        outcome = aggregate(assessment.sub_dimensions(), half)
+        outcome = aggregate({task: getattr(assessment, task) for task in TASKS}, half)
         assert outcome.final == FAIL or outcome.final in VALID_GRADES
 
 
@@ -579,7 +581,7 @@ def test_grade_candidate_always_grade_mock(rubric, small_corpus):
     outcome = grade_candidate(MockChatClient("always_grade", grade=3), script)
     assert outcome.valid
     assert all(v == 3 for v in outcome.assessment.task1.values())
-    assert outcome.derived.final == 3
+    assert runner._outcome_record(outcome, "better")["derived_final"] == 3
     assert outcome.attempts == 1
 
 
@@ -589,7 +591,7 @@ def test_grade_candidate_echo_gold_mock(rubric, small_corpus):
     outcome = grade_candidate(MockChatClient("echo_gold", corpus=small_corpus), script)
     assert outcome.valid
     assert outcome.assessment.task1 == candidate.gold.task1.as_dict()
-    assert outcome.derived.final == candidate.gold.final
+    assert runner._outcome_record(outcome, "better")["derived_final"] == candidate.gold.final
 
 
 def test_grade_candidate_echo_gold_on_failed_exam(rubric, small_corpus):
@@ -597,7 +599,7 @@ def test_grade_candidate_echo_gold_on_failed_exam(rubric, small_corpus):
     script = build_zero_shot(candidate, ContextSelection(), rubric)
     outcome = grade_candidate(MockChatClient("echo_gold", corpus=small_corpus), script)
     assert outcome.valid
-    assert outcome.derived.final == FAIL
+    assert runner._outcome_record(outcome, "better")["derived_final"] == FAIL
 
 
 def test_grade_candidate_malformed_without_retries(rubric, small_corpus):
@@ -607,7 +609,7 @@ def test_grade_candidate_malformed_without_retries(rubric, small_corpus):
     assert not outcome.valid
     assert outcome.assessment.failure_reason == "no JSON object found"
     assert outcome.attempts == 1
-    assert outcome.derived is None
+    assert runner._outcome_record(outcome, "better")["derived_final"] is None
 
 
 def test_grade_candidate_retry_reformats(rubric, small_corpus):
@@ -679,7 +681,7 @@ def test_grade_candidate_transport_error_keeps_the_conversation_so_far(rubric, s
     outcome = grade_candidate(_DroppedAtCall(replies, failing), script, retries=1)
     assert outcome.error == "chat request failed: verbindung abgebrochen"
     assert outcome.assessment is None
-    assert outcome.derived is None
+    assert runner._outcome_record(outcome, "better")["derived_final"] is None
     assert not outcome.valid
     assert outcome.attempts == attempts
     assert outcome.guesses == tuple(replies[: min(failing - 1, 3)])
@@ -694,3 +696,18 @@ def test_grade_candidate_transport_error_keeps_the_conversation_so_far(rubric, s
         conversation += round_turns
     conversation += user(CandidateUser) + [said[3], {"role": "user", "content": template("reformat_instruction")}]
     assert outcome.transcript == tuple(conversation[:sent])
+
+
+def test_written_final_grade_rounds_exact_halves_as_configured(rubric, small_corpus):
+    # Every section averages (2, 3), so K1, K2 and K3 round to 2 or to 3 together.
+    task = {"content": 2, "structure": 3, "language_norms": 3, "style_expression": 2}
+    script = build_zero_shot(small_corpus.get("s-06"), ContextSelection(), rubric)
+    valid = grade_candidate(ScriptedChatClient([assessment_json(task, task)]), script)
+    invalid = grade_candidate(ScriptedChatClient(["kaputt"]), script)
+    errored = grade_candidate(_DroppedAtCall([], failing=1), script)
+    assert valid.valid and not invalid.valid and errored.error is not None
+    assert runner._outcome_record(valid, HALF_TO_BETTER)["derived_final"] == 2
+    assert runner._outcome_record(valid, HALF_TO_WORSE)["derived_final"] == 3
+    for half in (HALF_TO_BETTER, HALF_TO_WORSE):
+        assert runner._outcome_record(invalid, half)["derived_final"] is None
+        assert runner._outcome_record(errored, half)["derived_final"] is None

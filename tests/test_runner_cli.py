@@ -203,8 +203,8 @@ def test_a_run_holds_only_the_outcomes_in_flight(parallelism, synthetic_dirs_25,
     live = []
     write = runner._write_outcome
 
-    def counting_write(out, predictions, outcome):
-        write(out, predictions, outcome)
+    def counting_write(*args):
+        write(*args)
         gc.collect()
         live.append(sum(isinstance(o, GradeOutcome) and id(o) not in before for o in gc.get_objects()))
 
@@ -797,6 +797,23 @@ def test_cli_run_rejects_malformed_exemplar_manifest(synthetic_dirs_25, tmp_path
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["context", "--candidate", "exam-007"]], ids=["run", "context"])
+def test_cli_fails_at_set_up_on_a_text_type_without_a_rubric(command, synthetic_dirs_25, tmp_path, capsys):
+    exam_dir, rubric_dir = synthetic_dirs_25
+    rubrics = tmp_path / "rubrics"
+    shutil.copytree(rubric_dir, rubrics)
+    (rubrics / "rubric_01.json").unlink()  # Commentary
+    config_file = tmp_path / "exp.conf"
+    config_file.write_text(
+        f"corpus.path = {exam_dir}\nrubric.path = {rubrics}\ntechnique = few_best_worst\n"
+        f"client.policy = echo_gold\noutput.dir = {tmp_path / 'out'}\n",
+        encoding="utf-8",
+    )
+    assert main([command[0], "--config", str(config_file), *command[1:]]) == 2
+    assert capsys.readouterr().err == "error: exam 'exam-002' task 2: no rubric for text type 'Commentary'\n"
+    assert not (tmp_path / "out").exists()
+
+
 _ALL_THREES = {task: dict.fromkeys(DIMENSIONS, 3) for task in ("task1", "task2")}
 
 
@@ -847,6 +864,16 @@ def test_cli_metrics_rejects_duplicate_prediction_id(synthetic_dirs_25, corpus_2
     assert main(["metrics", "--pred", str(pred), "--gold", str(exam_dir)]) == 2
     err = capsys.readouterr().err
     assert f"{pred}:3: duplicate prediction for 'exam-001' (first on line 1)" in err, err
+
+
+@pytest.mark.parametrize("content", [b"", b"\n  \n"], ids=["empty", "blank_lines"])
+def test_cli_metrics_names_a_predictions_file_without_a_line(content, synthetic_dirs_25, tmp_path, capsys):
+    exam_dir, _ = synthetic_dirs_25
+    pred = tmp_path / "predictions.jsonl"
+    pred.write_bytes(content)
+    assert main(["metrics", "--pred", str(pred), "--gold", str(exam_dir)]) == 2
+    err = capsys.readouterr().err
+    assert f"{pred}: holds no prediction line" in err, err
 
 
 @pytest.fixture(scope="module")

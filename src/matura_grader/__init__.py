@@ -1,7 +1,7 @@
 """Rubric-based LLM grading of two-text Austrian A-level German exams."""
 
 from .config import ExperimentConfig, load_config
-from .corpus import Corpus, ExamRecord, RubricSet, load_corpus, load_rubrics, normalize_text
+from .corpus import Corpus, ExamRecord, Rubric, load_corpus, load_rubrics, normalize_text
 from .grading import ExamOutcome, aggregate, final_grade
 from .metrics import EvaluationReport, GradeSeries, accuracy_and_confusion, mae, pcc, qwk
 from .orchestrator import GradeOutcome, ModelAssessment, grade_candidate, parse_assessment
@@ -18,7 +18,7 @@ __all__ = [
     "GradeOutcome",
     "GradeSeries",
     "ModelAssessment",
-    "RubricSet",
+    "Rubric",
     "accuracy_and_confusion",
     "aggregate",
     "final_grade",

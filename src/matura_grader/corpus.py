@@ -3,7 +3,11 @@
 One JSON file per exam (schema below), one JSON file per text-type rubric.
 Records are validated on load — structural problems and grades inconsistent
 with the grading arithmetic are reported per file and excluded — and the
-resulting corpus is immutable.
+resulting corpus is immutable. All exams of one (year, pack) task pack
+answer the same two text types: the first exam kept for a pack, in
+file-name order, fixes them, and a later exam of that pack with other types
+is reported and excluded, since its references would be labelled and
+graded under the wrong rubric.
 
 An exam's id names its transcript file ``<id>.json``, so it must be one
 file name: encodable as strict UTF-8 (a lone surrogate is not), 1 to 250
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -250,9 +254,11 @@ def validate_record(record: ExamRecord, half: str = HALF_TO_BETTER, trust_stored
 def load_corpus(path: str | Path, trust_stored_grades: bool = False, half: str = HALF_TO_BETTER) -> Corpus:
     """Load every ``*.json`` exam file under ``path``.
 
-    Invalid files become error entries instead of records; with
-    ``trust_stored_grades`` records whose stored aggregates disagree with
-    recomputation are kept as stored.
+    Invalid files become error entries instead of records, and so does an
+    exam whose two text types differ from those of the first exam kept for
+    its (year, pack) in file-name order; with ``trust_stored_grades``
+    records whose stored aggregates disagree with recomputation are kept as
+    stored.
     """
     directory = Path(path)
     if not directory.is_dir():
@@ -260,6 +266,7 @@ def load_corpus(path: str | Path, trust_stored_grades: bool = False, half: str =
     records: list[ExamRecord] = []
     errors: list[CorpusError] = []
     seen: set[str] = set()
+    pack_types: dict[tuple[int, str], tuple[str, tuple[str, ...]]] = {}
     for file in sorted(directory.glob("*.json")):
         try:
             data = json.loads(file.read_text(encoding="utf-8"))
@@ -278,57 +285,53 @@ def load_corpus(path: str | Path, trust_stored_grades: bool = False, half: str =
         if violations:
             errors.append(CorpusError(file.name, "; ".join(violations)))
             continue
+        types = tuple(task.text_type for task in record.tasks)
+        first_id, first_types = pack_types.setdefault((record.year, record.pack), (record.id, types))
+        if types != first_types:
+            where = f"{first_id!r} in pack {record.year}/{record.pack}"
+            errors.append(CorpusError(file.name, f"text types {types} differ from those of {where}"))
+            continue
         seen.add(record.id)
         records.append(record)
     return Corpus(records=tuple(records), errors=tuple(errors))
 
 
 class RubricError(KeyError):
-    """A rubric lookup for a text type, dimension or grade the set lacks."""
+    """A corpus text type that no loaded rubric describes; raised once, at
+    a run's set-up (``runner.load_run_inputs``)."""
 
 
 @dataclass(frozen=True)
-class RubricSet:
-    """Grade descriptors per text type: type -> dimension -> grade (1..4) -> text.
+class Rubric:
+    """One text type's rubric: its summary and dimension -> grade (1..4) -> text.
 
     Grade 5 has no descriptor; it marks failure to meet the grade-4 bar.
     """
 
-    summaries: dict[str, str] = field(default_factory=dict)
-    descriptors: dict[str, dict[str, dict[int, str]]] = field(default_factory=dict)
-
-    def summary(self, text_type: str) -> str:
-        if text_type not in self.summaries:
-            raise RubricError(f"no rubric for text type {text_type!r}")
-        return self.summaries[text_type]
-
-    def descriptor(self, text_type: str, dimension: str, grade: int) -> str:
-        try:
-            return self.descriptors[text_type][dimension][grade]
-        except KeyError:
-            raise RubricError(f"no rubric descriptor for ({text_type!r}, {dimension!r}, grade {grade})") from None
+    summary: str
+    descriptors: dict[str, dict[int, str]]
 
 
-def load_rubrics(path: str | Path) -> RubricSet:
-    """Load all rubric JSON files in a directory into one RubricSet."""
+def load_rubrics(path: str | Path) -> dict[str, Rubric]:
+    """Load all rubric JSON files in a directory, keyed by text type.
+
+    Each rubric holds all 16 descriptors (4 dimensions x grades 1-4), or the
+    load fails with a ValueError naming the file."""
     directory = Path(path)
     if not directory.is_dir():
         raise FileNotFoundError(f"rubric directory not found: {directory}")
-    summaries: dict[str, str] = {}
-    descriptors: dict[str, dict[str, dict[int, str]]] = {}
+    rubrics: dict[str, Rubric] = {}
     for file in sorted(directory.glob("*.json")):
         try:  # malformed JSON raises json.JSONDecodeError, a ValueError
-            text_type, summary, dims = _parse_rubric(json.loads(file.read_text(encoding="utf-8")))
+            text_type, rubric = _parse_rubric(json.loads(file.read_text(encoding="utf-8")))
         except ValueError as exc:
             raise ValueError(f"{file.name}: {exc}") from None
-        summaries[text_type] = summary
-        descriptors[text_type] = dims
-    return RubricSet(summaries=summaries, descriptors=descriptors)
+        rubrics[text_type] = rubric
+    return rubrics
 
 
-def _parse_rubric(data: dict) -> tuple[str, str, dict[str, dict[int, str]]]:
-    """Text type, summary and descriptor table of one rubric JSON document.
-    Raises ValueError."""
+def _parse_rubric(data: dict) -> tuple[str, Rubric]:
+    """Text type and rubric of one rubric JSON document. Raises ValueError."""
     text_type = _require(data, "text_type", str, "")
     if text_type not in TEXT_TYPES:
         raise ValueError(f"unknown text_type {text_type!r}")
@@ -344,4 +347,4 @@ def _parse_rubric(data: dict) -> tuple[str, str, dict[str, dict[int, str]]]:
                 raise ValueError(f"missing descriptor for ({text_type}, {dim}, grade {grade})")
             table[grade] = descriptors[key]
         dims[dim] = table
-    return text_type, summary, dims
+    return text_type, Rubric(summary, dims)

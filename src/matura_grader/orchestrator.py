@@ -25,7 +25,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from .clients import ChatClient, ChatTransportError
-from .corpus import ExamRecord, RubricSet
+from .corpus import ExamRecord, Rubric
 from .grading import DIMENSIONS, TASKS, VALID_GRADES
 from .prompts import (
     build_system_prompt,
@@ -121,7 +121,7 @@ def _budgeted(script: ConversationScript, token_budget: int | None) -> Conversat
 def build_zero_shot(
     candidate: ExamRecord,
     ctx: ContextSelection,
-    rubric: RubricSet,
+    rubrics: dict[str, Rubric],
     token_budget: int | None = None,
 ) -> ConversationScript:
     """System prompt plus one user message: references, then the candidate.
@@ -131,7 +131,7 @@ def build_zero_shot(
     context list until it fits; drops are logged and recorded. A script
     still over the budget is sent as is, with one warning.
     """
-    system = build_system_prompt(rubric, (candidate.task(1).text_type, candidate.task(2).text_type))
+    system = build_system_prompt(rubrics, (candidate.task(1).text_type, candidate.task(2).text_type))
     blocks = render_context_blocks(ctx, candidate)
     candidate_block = render_candidate_block(candidate)
 
@@ -157,7 +157,7 @@ def build_few_shot_script(
     calib: list[CalibrationItem],
     scheme: str,
     candidate: ExamRecord,
-    rubric: RubricSet,
+    rubrics: dict[str, Rubric],
     cot: bool = False,
     token_budget: int | None = None,
 ) -> ConversationScript:
@@ -169,9 +169,7 @@ def build_few_shot_script(
     """
     if not calib:
         raise ValueError("few-shot script needs at least one calibration exam")
-    system = build_system_prompt(
-        rubric, (candidate.task(1).text_type, candidate.task(2).text_type), cot=cot
-    )
+    system = build_system_prompt(rubrics, (candidate.task(1).text_type, candidate.task(2).text_type), cot=cot)
 
     groups: dict[tuple[int, ...], list[CalibrationItem]] = {}
     for item in calib:

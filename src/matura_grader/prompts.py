@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from pathlib import Path
 
-from .corpus import ExamRecord, RubricSet
+from .corpus import ExamRecord, Rubric
 from .grading import DIMENSIONS, RUBRIC_GRADES
 from .retrieval import ContextEntry, ContextSelection
 
@@ -38,23 +38,23 @@ def grades_line(grades: dict[str, int], final_grade: int | None = None) -> str:
     return line
 
 
-def _rubric_section(rubric: RubricSet, text_type: str) -> str:
-    summary = rubric.summary(text_type)
+def _rubric_section(rubric: Rubric, text_type: str) -> str:
     blocks = []
     for dim in DIMENSIONS:
         lines = [f"-- {GERMAN_DIMENSION_LABELS[dim]} ({dim}) --"]
         for grade in RUBRIC_GRADES:
-            lines.append(f"Note {grade}: {rubric.descriptor(text_type, dim, grade)}")
+            lines.append(f"Note {grade}: {rubric.descriptors[dim][grade]}")
         blocks.append("\n".join(lines))
     return template("rubric_section").format(
-        text_type=text_type, summary=summary, dimension_blocks="\n\n".join(blocks)
+        text_type=text_type, summary=rubric.summary, dimension_blocks="\n\n".join(blocks)
     )
 
 
-def build_system_prompt(rubric: RubricSet, types: tuple[str, str], cot: bool = False) -> str:
+def build_system_prompt(rubrics: dict[str, Rubric], types: tuple[str, str], cot: bool = False) -> str:
     """System prompt for a pack's two text types; optionally with the
-    criterion-by-criterion reasoning instruction."""
-    sections = [_rubric_section(rubric, text_type) for text_type in dict.fromkeys(types)]
+    criterion-by-criterion reasoning instruction. A type missing from
+    ``rubrics`` raises KeyError; a run checks every type at set-up."""
+    sections = [_rubric_section(rubrics[text_type], text_type) for text_type in dict.fromkeys(types)]
     prompt = template("system_prompt").format(
         type1=types[0], type2=types[1], rubric_block="\n\n".join(sections), schema=template("output_schema")
     )

@@ -8,8 +8,9 @@ words can be appended to any selection.
 
 The index is an exact, leave-one-out full scan. Each pool takes one of two
 paths, an integer path for count vectors and a float path for any other
-vectors, and both give similarities bit-identical to
-``cosine_similarity``; ``TaskTextIndex`` explains both.
+vectors, and both give similarities bit-identical to the scalar oracle
+``cosine_similarity`` of ``tests/helpers.py``; ``TaskTextIndex`` explains
+both.
 
 Embeddings come from a remote HTTP endpoint or from a deterministic
 hash-based fallback so the whole pipeline runs offline.
@@ -42,19 +43,6 @@ _TOKEN = re.compile(r"\w+", re.UNICODE)
 
 class EmbeddingError(RuntimeError):
     pass
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of two equal-length vectors; errors on zero norm."""
-    va, vb = tuple(a), tuple(b)
-    if len(va) != len(vb):
-        raise ValueError(f"vector length mismatch: {len(va)} vs {len(vb)}")
-    dot = sum(x * y for x, y in zip(va, vb))
-    norm_a = math.sqrt(sum(x * x for x in va))
-    norm_b = math.sqrt(sum(y * y for y in vb))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ValueError("cosine similarity undefined for zero-norm vector")
-    return dot / (norm_a * norm_b)
 
 
 def _squared_norm(values) -> float:
@@ -220,9 +208,10 @@ class TaskTextIndex:
     The index holds only vectors it can rank: ``build`` fails on a vector
     of another length than the index's first, or with a squared norm of
     0.0, naming its exam and task. That squared norm is computed once, with
-    the products and sum ``cosine_similarity`` uses. The pool alone picks
-    one of two paths for its dot products (``_Pool.dots``), and both rank
-    alike, every similarity, ranking and tie bit-identical to the oracle:
+    the products and sum ``cosine_similarity`` uses, the scalar oracle in
+    ``tests/helpers.py``. The pool alone picks one of two paths for its dot
+    products (``_Pool.dots``), and both rank alike, every similarity,
+    ranking and tie bit-identical to the oracle:
 
     - Integer path, for a pool of count vectors: floats that are
       non-negative whole numbers with squared norms below 2**53, as the

@@ -27,7 +27,7 @@ from typing import TextIO
 
 from .clients import ChatClient, HttpChatClient, MockChatClient, parse_policy
 from .config import ConfigError, ExperimentConfig, TechniquePlan, config_hash, technique_plan
-from .corpus import Corpus, ExamRecord, RubricError, RubricSet, load_corpus, load_rubrics
+from .corpus import Corpus, ExamRecord, Rubric, RubricError, load_corpus, load_rubrics
 from .grading import TASKS, VALID_GRADES, aggregate
 from .metrics import EvaluationReport, Prediction, build_report
 from .orchestrator import (
@@ -179,7 +179,7 @@ class RunInputs:
 
     cfg: ExperimentConfig
     corpus: Corpus
-    rubrics: RubricSet
+    rubrics: dict[str, Rubric]
     manifest: dict[tuple[int, str], dict[int, str]]
     plan: TechniquePlan
     index: TaskTextIndex | None
@@ -193,7 +193,9 @@ def load_run_inputs(cfg: ExperimentConfig, embedder=None) -> RunInputs:
 
     Raises RuntimeError when the corpus holds no usable exam, and
     RubricError naming the first exam and task, in corpus order, whose text
-    type has no rubric."""
+    type has no rubric. That check is the one place a missing rubric is
+    caught: ``rubrics`` maps text type to ``Rubric``, and the prompt
+    builders look each candidate's types up in it unchecked."""
     manifest = load_exemplar_manifest(cfg.exemplars_path)
     corpus = load_corpus(cfg.corpus_path, trust_stored_grades=cfg.trust_stored_grades, half=cfg.round_half)
     if not corpus.records:
@@ -204,7 +206,7 @@ def load_run_inputs(cfg: ExperimentConfig, embedder=None) -> RunInputs:
     rubrics = load_rubrics(cfg.rubric_path)
     for record in corpus.records:
         for number, task in enumerate(record.tasks, start=1):
-            if task.text_type not in rubrics.summaries:
+            if task.text_type not in rubrics:
                 raise RubricError(f"exam {record.id!r} task {number}: no rubric for text type {task.text_type!r}")
     plan = technique_plan(cfg)
     index = None

@@ -6,6 +6,7 @@ None of these is reached by a CLI command, so they live with the tests.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from collections import deque
 from dataclasses import asdict
@@ -35,6 +36,20 @@ class ScriptedChatClient(ChatClient):
 
     def identity(self) -> str:
         return "scripted"
+
+
+def cosine_similarity(a, b) -> float:
+    """Cosine of two equal-length vectors; errors on zero norm. The scalar
+    oracle every similarity of ``retrieval.TaskTextIndex`` is compared with."""
+    va, vb = tuple(a), tuple(b)
+    if len(va) != len(vb):
+        raise ValueError(f"vector length mismatch: {len(va)} vs {len(vb)}")
+    dot = sum(x * y for x, y in zip(va, vb))
+    norm_a = math.sqrt(sum(x * x for x in va))
+    norm_b = math.sqrt(sum(y * y for y in vb))
+    if norm_a == 0.0 or norm_b == 0.0:
+        raise ValueError("cosine similarity undefined for zero-norm vector")
+    return dot / (norm_a * norm_b)
 
 
 def corpus_to_json(corpus: Corpus) -> str:

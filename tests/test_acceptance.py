@@ -50,13 +50,12 @@ from matura_grader.retrieval import (
     FallbackEmbedder,
     TaskTextIndex,
     build_context,
-    cosine_similarity,
     select_best_average_worst,
 )
 from matura_grader.runner import calibration_items, run_experiment, technique_plan
 from matura_grader.synthetic import make_synthetic
 
-from helpers import ScriptedChatClient, reference_ids
+from helpers import ScriptedChatClient, cosine_similarity, reference_ids
 
 
 @contextmanager

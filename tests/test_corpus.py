@@ -276,6 +276,46 @@ def test_an_exam_id_that_is_not_one_file_name_is_skipped(bad_id, tmp_path, synth
     assert f"error: {victim.name}: exam id {bad_id!r}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "edits,skipped",
+    [
+        # exam-001 fixes pack-a, so the pack's later exam-003 is skipped
+        ({"exam-003": "Commentary"}, {"exam-003": "exam-001"}),
+        # exam-001 fixes pack-a with its own types, so both later pack-a exams are skipped
+        ({"exam-001": "Commentary"}, {"exam-003": "exam-001", "exam-005": "exam-001"}),
+        # exam-001 is not kept, so the first kept pack-a exam, exam-003, fixes the pack
+        ({"exam-001": None, "exam-003": "Commentary"}, {"exam-001": None, "exam-005": "exam-003"}),
+    ],
+)
+def test_an_exam_whose_text_types_differ_from_its_packs_is_skipped(edits, skipped, tmp_path, synthetic_dirs_30):
+    exam_dir, _ = synthetic_dirs_30
+    target = tmp_path / "packs"
+    target.mkdir()
+    for source in sorted(exam_dir.glob("*.json"))[:6]:
+        data = json.loads(source.read_text(encoding="utf-8"))
+        if data["id"] in edits:
+            if edits[data["id"]] is None:
+                data["gold"]["final"] = 9  # out of range: the file is skipped before its pack is fixed
+            else:
+                data["tasks"][0]["text_type"] = edits[data["id"]]
+        (target / source.name).write_text(json.dumps(data), encoding="utf-8")
+
+    corpus = load_corpus(target)
+    assert sorted(record.id for record in corpus.records) == sorted(
+        f"exam-{i:03d}" for i in range(1, 7) if f"exam-{i:03d}" not in skipped
+    )
+    reasons = {error.file: error.reason for error in corpus.errors}
+    assert sorted(reasons) == sorted(f"{exam_id}.json" for exam_id in skipped)
+    for exam_id, fixer in skipped.items():
+        if fixer is None:
+            assert "grade out of range: final = 9" in reasons[f"{exam_id}.json"]
+            continue
+        types = (edits.get(exam_id, "Literary Interpretation"), "Letter to the Editor")
+        assert reasons[f"{exam_id}.json"] == f"text types {types} differ from those of {fixer!r} in pack 2023/pack-a"
+    # pack-b (the even-numbered exams) is untouched
+    assert [record.id for record in corpus.pool(2024, "pack-b")] == ["exam-002", "exam-004", "exam-006"]
+
+
 def test_validate_record_uniform_ok():
     record = make_record("ok-1", (3, 3, 3, 3), (3, 3, 3, 3))
     assert validate_record(record) == ()
@@ -390,10 +430,10 @@ def test_validate_record_unknown_text_type():
 def test_rubrics_load_and_cover_all_types(synthetic_dirs_30):
     _, rubric_dir = synthetic_dirs_30
     rubrics = load_rubrics(rubric_dir)
-    assert set(rubrics.descriptors) == set(TEXT_TYPES)
-    for text_type in TEXT_TYPES:
-        assert rubrics.summary(text_type)
-        assert rubrics.descriptor(text_type, "content", 1) != rubrics.descriptor(text_type, "content", 4)
+    assert set(rubrics) == set(TEXT_TYPES)
+    for rubric in rubrics.values():
+        assert rubric.summary
+        assert rubric.descriptors["content"][1] != rubric.descriptors["content"][4]
 
 
 def test_rubrics_missing_descriptor_is_an_error(tmp_path, synthetic_dirs_30):

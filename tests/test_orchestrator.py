@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from matura_grader import runner
 from matura_grader.clients import ChatClient, ChatTransportError, MockChatClient, assessment_json
-from matura_grader.corpus import RubricError, RubricSet
+from matura_grader.corpus import Rubric
 from matura_grader.grading import DIMENSIONS, FAIL, HALF_TO_BETTER, HALF_TO_WORSE, TASKS, VALID_GRADES, aggregate
 from matura_grader.orchestrator import (
     ORDERINGS,
@@ -43,15 +43,13 @@ from helpers import ScriptedChatClient
 def rubric(synthetic_dirs_30_module=None):
     # a small but complete rubric for the two pack text types
     types = ("Literary Interpretation", "Letter to the Editor")
-    summaries = {t: f"Kurzbeschreibung {t}." for t in types}
-    descriptors = {
-        t: {
-            dim: {g: f"{t}/{dim}/Note {g}: spezifische Anforderung." for g in (1, 2, 3, 4)}
-            for dim in DIMENSIONS
-        }
+    return {
+        t: Rubric(
+            f"Kurzbeschreibung {t}.",
+            {dim: {g: f"{t}/{dim}/Note {g}: spezifische Anforderung." for g in (1, 2, 3, 4)} for dim in DIMENSIONS},
+        )
         for t in types
     }
-    return RubricSet(summaries=summaries, descriptors=descriptors)
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +72,7 @@ def test_system_prompt_contains_all_descriptors_verbatim(rubric):
     for text_type in types:
         for dim in DIMENSIONS:
             for grade in (1, 2, 3, 4):
-                assert rubric.descriptor(text_type, dim, grade) in prompt
+                assert rubric[text_type].descriptors[dim][grade] in prompt
     assert template("output_schema") in prompt
     assert "Note 5" in prompt  # failure semantics of grade 5
 
@@ -85,7 +83,7 @@ def test_system_prompt_deterministic(rubric):
 
 
 def test_system_prompt_missing_rubric_names_type(rubric):
-    with pytest.raises(RubricError, match="Commentary"):
+    with pytest.raises(KeyError, match="Commentary"):
         build_system_prompt(rubric, ("Literary Interpretation", "Commentary"))
 
 

@@ -46,9 +46,6 @@ ALLOWED_UNREACHED = {
     # schema: the mock replies are always well-formed.
     "orchestrator._sweep_brackets",
     "orchestrator._nests_within",
-    # The scalar oracle the index is specified against; the tests compare
-    # every ranking with it.
-    "retrieval.cosine_similarity",
 }
 
 # Runs in the fresh interpreter; argv[1] is its working directory. Prints

@@ -30,7 +30,6 @@ from matura_grader.retrieval import (
     TaskTextIndex,
     _entry_for,
     build_context,
-    cosine_similarity,
     inject_noise,
     select_best_average_worst,
     select_grade_exemplars,
@@ -40,7 +39,7 @@ from matura_grader.retrieval import (
 from matura_grader.synthetic import make_synthetic
 
 from conftest import make_body, make_corpus, make_record
-from helpers import reference_ids
+from helpers import cosine_similarity, reference_ids
 
 
 @pytest.fixture(scope="module")

@@ -1002,6 +1002,27 @@ def test_cli_context_logs_skipped_exam_files(synthetic_dirs_25, tmp_path, capsys
     assert len(skipped) == 1 and "broken.json" in skipped[0], skipped
 
 
+def test_cli_an_exam_whose_text_types_differ_from_its_packs_is_refused(tmp_path, capsys):
+    exam_dir, rubric_dir = make_synthetic(tmp_path / "data", n=12, seed=3)
+    edited = exam_dir / "exam-003.json"  # pack 2023/pack-a, fixed by exam-001
+    data = json.loads(edited.read_text(encoding="utf-8"))
+    data["tasks"][0]["text_type"] = "Commentary"
+    edited.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+
+    assert main(["validate-corpus", str(exam_dir)]) == 1
+    assert capsys.readouterr().out.startswith(
+        "error: exam-003.json: text types ('Commentary', 'Letter to the Editor')"
+        " differ from those of 'exam-001' in pack 2023/pack-a\n"
+    )
+    config_file = _context_config(tmp_path, exam_dir, rubric_dir, "rag_most_similar")
+    with config_file.open("a", encoding="utf-8") as handle:
+        handle.write("technique.k = 5\n")
+    assert main(["context", "--config", str(config_file), "--candidate", "exam-001"]) == 0
+    out = capsys.readouterr().out
+    assert "  task 1: exam-005 " in out
+    assert "exam-003" not in out
+
+
 @pytest.mark.parametrize("command", ["run", "context"])
 def test_cli_empty_corpus_is_fatal(command, synthetic_dirs_25, tmp_path, capsys):
     _, rubric_dir = synthetic_dirs_25

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from matura_grader.corpus import TEXT_TYPES, load_rubrics, validate_record
+from matura_grader.grading import DIMENSIONS
 from matura_grader.synthetic import make_synthetic
 
 
@@ -44,4 +45,7 @@ def test_synthetic_pools_are_split_by_pack(corpus_30):
 def test_synthetic_rubrics_cover_all_types(synthetic_dirs_30):
     _, rubric_dir = synthetic_dirs_30
     rubrics = load_rubrics(rubric_dir)
-    assert set(rubrics.descriptors) == set(TEXT_TYPES)
+    assert set(rubrics) == set(TEXT_TYPES)
+    for rubric in rubrics.values():
+        assert rubric.summary
+        assert set(rubric.descriptors) == set(DIMENSIONS)

@@ -315,19 +315,30 @@ class Rubric:
 def load_rubrics(path: str | Path) -> dict[str, Rubric]:
     """Load all rubric JSON files in a directory, keyed by text type.
 
-    Each rubric holds all 16 descriptors (4 dimensions x grades 1-4), or the
-    load fails with a ValueError naming the file."""
+    Each rubric holds a summary and all 16 descriptors (4 dimensions x
+    grades 1-4), each a non-empty string, and no two files describe one text
+    type, or the load fails with a ValueError naming the file(s)."""
     directory = Path(path)
     if not directory.is_dir():
         raise FileNotFoundError(f"rubric directory not found: {directory}")
     rubrics: dict[str, Rubric] = {}
+    files: dict[str, str] = {}
     for file in sorted(directory.glob("*.json")):
         try:  # malformed JSON raises json.JSONDecodeError, a ValueError
             text_type, rubric = _parse_rubric(json.loads(file.read_text(encoding="utf-8")))
         except ValueError as exc:
             raise ValueError(f"{file.name}: {exc}") from None
+        if text_type in files:
+            raise ValueError(f"{file.name}: a second rubric for text type {text_type!r}, after {files[text_type]}")
+        files[text_type] = file.name
         rubrics[text_type] = rubric
     return rubrics
+
+
+def _non_empty(text: object, what: str) -> str:
+    if not isinstance(text, str) or not text:
+        raise ValueError(f"{what} must be a non-empty string, got {text!r}")
+    return text
 
 
 def _parse_rubric(data: dict) -> tuple[str, Rubric]:
@@ -335,7 +346,7 @@ def _parse_rubric(data: dict) -> tuple[str, Rubric]:
     text_type = _require(data, "text_type", str, "")
     if text_type not in TEXT_TYPES:
         raise ValueError(f"unknown text_type {text_type!r}")
-    summary = _require(data, "summary", str, "")
+    summary = _non_empty(_require(data, "summary", str, ""), "field summary")
     dims_raw = _require(data, "dimensions", dict, "")
     dims: dict[str, dict[int, str]] = {}
     for dim in DIMENSIONS:
@@ -345,6 +356,6 @@ def _parse_rubric(data: dict) -> tuple[str, Rubric]:
             key = str(grade)
             if key not in descriptors:
                 raise ValueError(f"missing descriptor for ({text_type}, {dim}, grade {grade})")
-            table[grade] = descriptors[key]
+            table[grade] = _non_empty(descriptors[key], f"descriptor for ({text_type}, {dim}, grade {grade})")
         dims[dim] = table
     return text_type, Rubric(summary, dims)

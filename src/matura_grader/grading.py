@@ -3,11 +3,12 @@
 Eight sub-dimension grades (2 tasks x content/structure/language_norms/
 style_expression, 1 best .. 5 worst) are folded into section grades K1, K2,
 K3/1, K3/2, K3 and a final grade. A section grade of 5 fails the whole exam.
+Section and final grades are means of whole grades, rounded in whole numbers
+by quotient and remainder.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -74,35 +75,22 @@ def _check_grade(value: int, name: str = "grade") -> int:
     return value
 
 
-def round_grade(x: float, half: str = HALF_TO_BETTER) -> int:
-    """Round a rational average in [1, 5] to the nearest whole grade.
-
-    Exact halves go toward the better grade (the lower number) unless
-    ``half`` is HALF_TO_WORSE.
-    """
-    if not 1 <= x <= 5:
-        raise ValueError(f"average out of range [1, 5]: {x!r}")
+def _rounded_mean(grades: tuple[int, ...], half: str) -> int:
+    """The mean of whole grades rounded to the nearest whole grade, in
+    integers: exact halves go toward the better grade (the lower number)
+    unless ``half`` is HALF_TO_WORSE."""
     if half not in (HALF_TO_BETTER, HALF_TO_WORSE):
         raise ValueError(f"unknown half-rounding mode: {half!r}")
-    lower = math.floor(x)
-    upper = math.ceil(x)
-    if lower == upper:
-        return int(x)
-    # Averages here come from halves and thirds of small integers, so an
-    # exact .5 is representable and a strict comparison is safe.
-    frac = x - lower
-    if frac < 0.5:
-        return lower
-    if frac > 0.5:
-        return upper
-    return lower if half == HALF_TO_BETTER else upper
+    lower, rest = divmod(sum(grades), len(grades))
+    twice = 2 * rest
+    return lower + (twice > len(grades) or (twice == len(grades) and half == HALF_TO_WORSE))
 
 
 def section_grade(dim_a: int, dim_b: int, half: str = HALF_TO_BETTER) -> int:
     """Combine the two dimension grades of one section into its grade."""
     _check_grade(dim_a, "dim_a")
     _check_grade(dim_b, "dim_b")
-    return round_grade((dim_a + dim_b) / 2, half)
+    return _rounded_mean((dim_a, dim_b), half)
 
 
 # K3 folds the per-task K3 halves the way a section folds its two
@@ -123,7 +111,7 @@ def final_grade(k1: int, k2: int, k3: int, half: str = HALF_TO_BETTER) -> tuple[
     failing = [name for name, value in (("k1", k1), ("k2", k2), ("k3", k3)) if value == 5]
     if failing:
         return FAIL, ", ".join(failing)
-    return round_grade((k1 + k2 + k3) / 3, half), None
+    return _rounded_mean((k1, k2, k3), half), None
 
 
 def aggregate(sub: dict[str, dict[str, int]], half: str = HALF_TO_BETTER) -> ExamOutcome:

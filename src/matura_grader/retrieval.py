@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, repeat
-from operator import mul, neg, sub, truediv
+from operator import mul, neg, truediv
 from pathlib import Path
 
 from .clients import Connections
@@ -385,7 +385,9 @@ def select_best_average_worst(
     """The pack's best, most-average and worst exams as fixed context.
 
     Best/worst by final grade with sub-dimension-sum then id tie-breaks;
-    most-average minimizes L1 distance to the pack's per-dimension means.
+    most-average minimizes the exact L1 distance to the pack's
+    per-dimension means, ties to the smaller id. The distance is ranked as
+    ``len(pool)`` times itself, in integers, so no float rounding breaks a tie.
     The three picks are distinct. Without ``exclude_id`` the result is the
     same for every candidate of the (year, pack).
     """
@@ -396,16 +398,17 @@ def select_best_average_worst(
         of_pool = "" if exclude_id is None else f" of {len(pool)}"
         raise ValueError(f"need at least 3 exams in pack ({year}, {pack!r}){besides}, have {len(eligible)}{of_pool}")
 
-    # Pack means are computed over the full pool so the notion of "average"
-    # does not shift with the excluded candidate.
-    means = [sum(column) / len(pool) for column in zip(*(r.gold.task1 + r.gold.task2 for r in pool))]
+    # Pack means are taken over the full pool so the notion of "average"
+    # does not shift with the excluded candidate; they are kept as column
+    # totals, each ``len(pool)`` times its mean.
+    totals = [sum(column) for column in zip(*(r.gold.task1 + r.gold.task2 for r in pool))]
 
     best, worst, average = _pick_distinct(
         eligible,
         (
             lambda r: (r.gold.final_as_grade(), _grade_distance(r, 0), r.id),
             lambda r: (-r.gold.final_as_grade(), -_grade_distance(r, 0), r.id),
-            lambda r: (sum(map(abs, map(sub, r.gold.task1 + r.gold.task2, means))), r.id),
+            lambda r: (sum(abs(len(pool) * grade - total) for grade, total in zip(r.gold.task1 + r.gold.task2, totals)), r.id),
         ),
     )
     entries = tuple(

@@ -399,18 +399,17 @@ def rescore_predictions(
         if not isinstance(data.get("valid"), bool) or not isinstance(error, (str, type(None))):
             raise ValueError(f"{where}: a prediction's valid must be true or false, and its error null or a string")
         grades = final = None
-        if data.get("assessment"):
-            block = data["assessment"]
-            if not isinstance(block, dict):
-                raise ValueError(f"{where}: assessment must be an object, got {type(block).__name__}")
-            if data["valid"] and not error:
-                if not all(isinstance(block.get(task), dict) for task in TASKS):
-                    raise ValueError(f"{where}: a valid prediction needs objects as " + " and ".join(TASKS))
-                grades = {task: block[task] for task in TASKS}
-                try:
-                    final = aggregate(grades, half).final
-                except ValueError as exc:
-                    raise ValueError(f"{where}: {exc}") from None
+        block = data.get("assessment")
+        if block is not None and not isinstance(block, dict):
+            raise ValueError(f"{where}: assessment must be an object, got {type(block).__name__}")
+        if data["valid"] and not error:
+            if not all(isinstance((block or {}).get(task), dict) for task in TASKS):
+                raise ValueError(f"{where}: a valid prediction needs objects as " + " and ".join(TASKS))
+            grades = {task: block[task] for task in TASKS}
+            try:
+                final = aggregate(grades, half).final
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
         if error is not None:  # an empty error string still marks the line errored
             grades = final = None
         predictions.append(Prediction(exam_id, error, grades, final))

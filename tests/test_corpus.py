@@ -448,6 +448,12 @@ def test_rubrics_missing_descriptor_is_an_error(tmp_path, synthetic_dirs_30):
         load_rubrics(target)
 
 
+def _with_descriptor(data: dict, text) -> dict:
+    """A rubric document whose content descriptor for grade 1 is ``text``."""
+    content = {**data["dimensions"]["content"], "1": text}
+    return {**data, "dimensions": {**data["dimensions"], "content": content}}
+
+
 @pytest.mark.parametrize(
     "edit,reason",
     [
@@ -459,8 +465,31 @@ def test_rubrics_missing_descriptor_is_an_error(tmp_path, synthetic_dirs_30):
             "field dimensions.content must be dict, got str",
         ),
         (lambda data: json.dumps({**data, "text_type": "Novelle"}), "unknown text_type 'Novelle'"),
+        (
+            lambda data: json.dumps(_with_descriptor(data, None)),
+            "descriptor for (Commentary, content, grade 1) must be a non-empty string, got None",
+        ),
+        (
+            lambda data: json.dumps(_with_descriptor(data, 3)),
+            "descriptor for (Commentary, content, grade 1) must be a non-empty string, got 3",
+        ),
+        (
+            lambda data: json.dumps(_with_descriptor(data, "")),
+            "descriptor for (Commentary, content, grade 1) must be a non-empty string, got ''",
+        ),
+        (lambda data: json.dumps({**data, "summary": ""}), "field summary must be a non-empty string, got ''"),
     ],
-    ids=["malformed_json", "number", "missing_text_type", "string_dimension", "unknown_text_type"],
+    ids=[
+        "malformed_json",
+        "number",
+        "missing_text_type",
+        "string_dimension",
+        "unknown_text_type",
+        "null_descriptor",
+        "number_descriptor",
+        "empty_descriptor",
+        "empty_summary",
+    ],
 )
 def test_rubric_errors_name_the_file(edit, reason, tmp_path, synthetic_dirs_30):
     _, rubric_dir = synthetic_dirs_30
@@ -471,6 +500,19 @@ def test_rubric_errors_name_the_file(edit, reason, tmp_path, synthetic_dirs_30):
     with pytest.raises(ValueError) as raised:
         load_rubrics(target)
     assert str(raised.value).startswith(f"{source.name}: {reason}"), str(raised.value)
+
+
+def test_a_second_rubric_for_a_text_type_names_both_files(tmp_path, synthetic_dirs_30):
+    _, rubric_dir = synthetic_dirs_30
+    target = tmp_path / "rubrics"
+    target.mkdir()
+    source = rubric_dir / "rubric_01.json"
+    (target / source.name).write_text(source.read_text(encoding="utf-8"), encoding="utf-8")
+    data = json.loads(source.read_text(encoding="utf-8"))
+    (target / "rubric_99.json").write_text(json.dumps({**data, "summary": "Another summary."}), encoding="utf-8")
+    with pytest.raises(ValueError) as raised:
+        load_rubrics(target)
+    assert str(raised.value) == "rubric_99.json: a second rubric for text type 'Commentary', after rubric_01.json"
 
 
 def _record_json(record) -> dict:

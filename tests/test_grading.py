@@ -12,6 +12,7 @@ from matura_grader import grading
 from matura_grader.grading import (
     DIMENSIONS,
     FAIL,
+    HALF_TO_BETTER,
     HALF_TO_WORSE,
     RUBRIC_GRADES,
     SECTIONS,
@@ -22,7 +23,6 @@ from matura_grader.grading import (
     combine_k3,
     final_grade,
     final_to_grade,
-    round_grade,
     section_grade,
 )
 
@@ -30,7 +30,7 @@ from conftest import make_record
 
 
 def oracle_round(num: int, den: int, half_to_better: bool = True) -> int:
-    """Independent exact-rational rounding used to cross-check round_grade."""
+    """Independent exact-rational rounding used to cross-check section and final grades."""
     x = Fraction(num, den)
     lower, upper = x.numerator // x.denominator, -((-x.numerator) // x.denominator)
     if lower == upper:
@@ -42,38 +42,19 @@ def oracle_round(num: int, den: int, half_to_better: bool = True) -> int:
     return lower if half_to_better else upper
 
 
-def test_round_grade_integer_input():
-    assert round_grade(2.0) == 2
+def test_section_and_final_grades_match_rational_oracle_on_all_small_averages():
+    for half, half_to_better in ((HALF_TO_BETTER, True), (HALF_TO_WORSE, False)):
+        for a, b in itertools.product(VALID_GRADES, repeat=2):
+            assert section_grade(a, b, half=half) == oracle_round(a + b, 2, half_to_better)
+        for trio in itertools.product(RUBRIC_GRADES, repeat=3):
+            assert final_grade(*trio, half=half) == (oracle_round(sum(trio), 3, half_to_better), None)
 
 
-def test_round_grade_half_goes_to_better():
-    assert round_grade(2.5) == 2
-
-
-def test_round_grade_above_half_goes_up():
-    assert round_grade(2.51) == 3
-
-
-def test_round_grade_half_to_worse_mode():
-    assert round_grade(2.5, half=HALF_TO_WORSE) == 3
-    assert round_grade(2.0, half=HALF_TO_WORSE) == 2
-
-
-def test_round_grade_out_of_range():
-    with pytest.raises(ValueError):
-        round_grade(0.9)
-    with pytest.raises(ValueError):
-        round_grade(5.1)
-
-
-def test_round_grade_matches_rational_oracle_on_all_small_averages():
-    for a in range(1, 6):
-        for b in range(1, 6):
-            assert section_grade(a, b) == oracle_round(a + b, 2)
-            assert section_grade(a, b, half=HALF_TO_WORSE) == oracle_round(a + b, 2, half_to_better=False)
-    for trio in itertools.product(range(1, 6), repeat=3):
-        if 5 not in trio:
-            assert final_grade(*trio)[0] == oracle_round(sum(trio), 3)
+def test_unknown_half_rounding_mode_is_refused():
+    with pytest.raises(ValueError, match="unknown half-rounding mode: 'up'"):
+        section_grade(2, 3, half="up")
+    with pytest.raises(ValueError, match="unknown half-rounding mode: 'up'"):
+        final_grade(2, 3, 3, half="up")
 
 
 def test_section_grade_examples():

@@ -8,9 +8,10 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matura_grader.config import TECHNIQUES
@@ -129,6 +130,29 @@ def test_baw_tie_break_prefers_smaller_id():
     )
     selection = select_best_average_worst(corpus, 2023, "pack-a")
     assert reference_ids(selection)[0] == "a-xi"
+
+
+# With x-04 best and x-02 worst, x-05 and x-06 both lie exactly 35/6 from the
+# pack means, so the smaller id wins; float sums put x-06 first by noise.
+_EXACT_TIE_PACK = [
+    ((1, 3, 2, 2), (4, 4, 4, 1)),
+    ((3, 3, 4, 2), (4, 4, 2, 4)),
+    ((1, 2, 4, 4), (1, 1, 2, 4)),
+    ((1, 2, 1, 1), (2, 4, 3, 4)),
+    ((4, 2, 2, 3), (2, 3, 3, 2)),
+    ((3, 3, 2, 1), (4, 4, 3, 2)),
+]
+
+
+def _numbered_pack(grades):
+    return make_corpus(
+        [make_record(f"x-{i:02d}", task1, task2, body1="a", body2="b") for i, (task1, task2) in enumerate(grades, 1)]
+    )
+
+
+def test_baw_average_tie_goes_to_the_smaller_id_not_float_noise():
+    selection = select_best_average_worst(_numbered_pack(_EXACT_TIE_PACK), 2023, "pack-a")
+    assert reference_ids(selection) == ("x-04", "x-05", "x-02")
 
 
 def test_baw_requires_three_exams():
@@ -632,7 +656,7 @@ def _oracle_best_average_worst(corpus, year, pack, exclude_id=None, positions=(1
     means = {}
     for task in ("task1", "task2"):
         for dim in DIMENSIONS:
-            means[(task, dim)] = sum(getattr(getattr(r.gold, task), dim) for r in pool) / len(pool)
+            means[(task, dim)] = Fraction(sum(getattr(getattr(r.gold, task), dim) for r in pool), len(pool))
 
     def l1_to_means(record):
         return sum(
@@ -714,6 +738,23 @@ def test_baw_equals_reference_oracle(oracle_corpus):
                 args = (oracle_corpus, candidate.year, candidate.pack)
                 got = select_best_average_worst(*args, exclude_id=exclude_id, positions=positions)
                 assert got == _oracle_best_average_worst(*args, exclude_id=exclude_id, positions=positions)
+
+
+_GRADES = st.tuples(*[st.integers(1, 5)] * 4)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.tuples(_GRADES, _GRADES), min_size=3, max_size=12))
+@example(_EXACT_TIE_PACK)
+def test_baw_equals_exact_oracle_on_random_packs(grades):
+    corpus = _numbered_pack(grades)
+    for exclude_id in (None, *(record.id for record in corpus.records)):
+        if exclude_id is not None and len(grades) == 3:
+            with pytest.raises(ValueError, match="at least 3"):
+                select_best_average_worst(corpus, 2023, "pack-a", exclude_id=exclude_id)
+            continue
+        got = select_best_average_worst(corpus, 2023, "pack-a", exclude_id=exclude_id)
+        assert got == _oracle_best_average_worst(corpus, 2023, "pack-a", exclude_id=exclude_id), exclude_id
 
 
 def test_grade_exemplars_equal_reference_oracle(oracle_corpus):

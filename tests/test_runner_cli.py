@@ -827,6 +827,11 @@ _ALL_THREES = {task: dict.fromkeys(DIMENSIONS, 3) for task in ("task1", "task2")
         '{"id": "exam-002", "valid": true, "assessment": {"task1": null}}',
         '{"id": "exam-002", "valid": true, "assessment": [1, 2]}',
         '{"id": "exam-002", "valid": true, "assessment": {"task1": {"content": 1}, "task2": {}}}',
+        # A valid line must hold its grade sheet.
+        '{"id": "exam-002", "valid": true, "error": null, "assessment": null}',
+        '{"id": "exam-002", "valid": true, "error": null, "assessment": {}}',
+        '{"id": "exam-002", "valid": true, "error": null, "assessment": []}',
+        '{"id": "exam-002", "valid": true, "error": null, "assessment": 0}',
         b'{"id": "exam-002", "valid": false, "error": "\xff\xfe"}',
         # An assessment that rescores as valid once valid reads as true.
         json.dumps({"id": "exam-002", "valid": "false", "assessment": _ALL_THREES}),

@@ -192,6 +192,9 @@ def config_from_values(values: dict[str, str]) -> ExperimentConfig:
         parse = _PARSERS.get(spec.type)
         if parse is not None:
             value = parse(value, key)
+        # An empty directory key would read as the working directory.
+        if not value and key in ("corpus.path", "rubric.path", "output.dir"):
+            raise ConfigError(f"{key} must not be empty")
         if meta["choices"] and value not in meta["choices"]:
             raise ConfigError(f"{key} must be one of {', '.join(meta['choices'])}, got {value!r}")
         if meta["minimum"] is not None and value < meta["minimum"]:

@@ -45,12 +45,6 @@ class EmbeddingError(RuntimeError):
     pass
 
 
-def _squared_norm(values) -> float:
-    """The squared Euclidean norm with the products and left-to-right sum
-    ``cosine_similarity`` uses, so its square root is that norm exactly."""
-    return sum(map(mul, values, values))
-
-
 class FallbackEmbedder:
     """Deterministic offline embedder: hashed bag-of-token counts.
 
@@ -63,16 +57,15 @@ class FallbackEmbedder:
     ``embed`` counts the whitespace-separated words of the lowercased text
     with ``Counter``. Each distinct word is split into tokens and hashed
     once per instance; the word's buckets are remembered, and each word
-    adds its count to its buckets. That equals counting the tokens of the
-    whole text:
+    adds its count to its buckets. The counts are ints, so they are exact
+    in any order, and the result equals counting the tokens of the whole
+    text:
 
     - no code point is both whitespace and ``\\w``, so no token spans a
       whitespace split, and a text's tokens are those of its words;
     - the only context rule of ``str.lower``, the final sigma, looks no
       further than the nearest whitespace, so lowering a word alone gives
-      what lowering the whole text gives;
-    - every count is a whole number below 2**53, so the float sums are exact
-      in any order.
+      what lowering the whole text gives.
 
     The memo only ever gains the same value for a key, so concurrent
     ``embed`` calls may share an instance.
@@ -84,8 +77,8 @@ class FallbackEmbedder:
         self.dim = dim
         self._word_buckets: dict[str, tuple[int, ...]] = {}
 
-    def embed(self, text: str) -> tuple[float, ...]:
-        counts = [0.0] * self.dim
+    def embed(self, text: str) -> tuple[int, ...]:
+        counts = [0] * self.dim
         memo = self._word_buckets
         for word, count in Counter(text.lower().split()).items():
             buckets = memo.get(word)
@@ -128,22 +121,8 @@ class RemoteEmbedder:
         self._connections.close()
 
 
-# Below this bound every integer is a float, so float products and sums of
-# such integers are exact.
-_EXACT_BOUND = 2**53
-
-# struct's unsigned formats by width in bytes, narrowest first. The widest
-# holds any squared norm below 2**53.
+# struct's unsigned formats by width in bytes, narrowest first.
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
-def _whole_numbers(values) -> bool:
-    """Whether every value is a float holding a non-negative whole number
-    (inf and nan are not whole)."""
-    try:
-        return all(map(float.is_integer, values)) and min(values, default=0.0) >= 0
-    except TypeError:  # a value that is not a float takes the float path
-        return False
 
 
 @dataclass(frozen=True)
@@ -151,7 +130,7 @@ class _Pool:
     """One (year, pack, task position) pool as parallel tuples, sorted by id.
     Its vectors have one length and squared norms above 0.0.
 
-    An integer pool keeps each vector once, as integers: ``counts`` holds
+    An integer pool keeps each vector once, as ints: ``counts`` holds
     them one after the other, ``vectors`` is empty, and ``columns[j]`` packs
     dimension j of vector i into slot i, ``slot`` bytes wide: the narrowest
     of struct's unsigned widths, 1, 2, 4 or 8 bytes (``B``, ``H``, ``I``,
@@ -167,20 +146,19 @@ class _Pool:
     slot: int = 0
 
     @classmethod
-    def pack(cls, records: tuple[ExamRecord, ...], vectors: tuple[tuple[float, ...], ...], squares: list[float]) -> "_Pool":
+    def pack(cls, records: tuple[ExamRecord, ...], vectors: tuple[tuple[int | float, ...], ...], squares: list[int | float]) -> "_Pool":
         ids = tuple(record.id for record in records)
         norms = tuple(map(math.sqrt, squares))
         flat = tuple(chain.from_iterable(vectors))
-        # Squares of whole numbers are non-negative, so their float sum stays
-        # below 2**53 only if the exact sum does; the float sum is then exact.
-        if not _whole_numbers(flat) or max(squares) >= _EXACT_BOUND:
+        # A squared norm, a sum of products, is an int exactly when every
+        # value of its vector is.
+        slot = next((width for width in _SLOT_FORMATS if max(squares) < 256**width), None)
+        if slot is None or not all(isinstance(square, int) for square in squares) or min(flat) < 0:
             return cls(records, ids, vectors, norms)
-        counts = tuple(map(int, flat))
         dim = len(vectors[0])
-        slot = next(width for width in _SLOT_FORMATS if max(squares) < 256**width)
         fmt = f"<{len(records)}{_SLOT_FORMATS[slot]}"
-        columns = tuple(int.from_bytes(struct.pack(fmt, *counts[j::dim]), "little") for j in range(dim))
-        return cls(records, ids, (), norms, counts, columns, slot)
+        columns = tuple(int.from_bytes(struct.pack(fmt, *flat[j::dim]), "little") for j in range(dim))
+        return cls(records, ids, (), norms, flat, columns, slot)
 
     def dots(self, member: int) -> tuple[float, ...]:
         """The dot product of vector ``member`` with every vector, in pool
@@ -213,13 +191,13 @@ class TaskTextIndex:
     products (``_Pool.dots``), and both rank alike, every similarity,
     ranking and tie bit-identical to the oracle:
 
-    - Integer path, for a pool of count vectors: floats that are
-      non-negative whole numbers with squared norms below 2**53, as the
-      fallback embedder's bucket counts are. One big-integer multiply-add
-      per dimension over the packed columns yields the member's dot product
-      with every pool vector at once. Every product and partial sum of such
-      a dot product is an integer below 2**53, which a float holds exactly,
-      so the integer equals the float sum ``cosine_similarity`` computes.
+    - Integer path, for a pool of count vectors: non-negative ints with
+      squared norms below 2**64, as the fallback embedder's bucket counts
+      are. One big-integer multiply-add per dimension over the packed
+      columns yields the member's dot product with every pool vector at
+      once. Python ints are exact at any size, so that dot product equals
+      the int sum ``cosine_similarity`` computes, and the square roots and
+      the division are the same float operations on both sides.
     - Float path, for any other pool, such as remote float embeddings: one
       ``sum(map(mul, ...))`` per pool vector, the products and left-to-right
       sum of ``cosine_similarity``.
@@ -244,7 +222,7 @@ class TaskTextIndex:
                         dim = dim or len(values)
                         if len(values) != dim:
                             raise EmbeddingError(f"embedding has {len(values)} dimensions, the index's first has {dim}")
-                        squares.append(_squared_norm(values))
+                        squares.append(sum(map(mul, values, values)))
                         if squares[-1] == 0.0:  # all zeros, or squares that underflow
                             raise EmbeddingError("embedding has zero norm, so its cosine similarity is undefined")
                     except EmbeddingError as exc:

@@ -74,31 +74,40 @@ _MANIFEST_LEVELS = {str(grade): grade for grade in VALID_GRADES}
 def load_exemplar_manifest(path: str) -> dict[tuple[int, str], dict[int, str]]:
     """Curated exemplar ids: {"<year>/<pack>": {"1": id, ..., "5": id}}.
 
-    Raises ConfigError naming the file and the key on a malformed manifest."""
+    Raises ConfigError naming the file and the key on a malformed manifest,
+    and naming both keys when two keys name one pack, such as
+    ``2023/pack-a`` and ``02023/pack-a`` or a key repeated verbatim."""
     if not path:
         return {}
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        # Objects load as tuples of (key, value) pairs, so a repeated key is
+        # kept, not dropped as a dict would.
+        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=tuple)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: exemplar manifest is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: exemplar manifest is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
+    if not isinstance(data, tuple):
         raise ConfigError(f"{path}: exemplar manifest must be a JSON object, got {type(data).__name__}")
     manifest: dict[tuple[int, str], dict[int, str]] = {}
-    for key, levels in data.items():
+    keys: dict[tuple[int, str], str] = {}
+    for key, levels in data:
         where = f"{path}: exemplar manifest key {key!r}"
         match = _MANIFEST_KEY.fullmatch(key)
         if match is None:
             raise ConfigError(f"{where} must be <year>/<pack>")
-        if not isinstance(levels, dict):
+        if not isinstance(levels, tuple):
             raise ConfigError(f"{where}: entry must be an object, got {type(levels).__name__}")
-        for level, exam_id in levels.items():
+        pack = (int(match[1]), match[2])
+        if pack in keys:
+            raise ConfigError(f"{path}: exemplar manifest keys {keys[pack]!r} and {key!r} name one pack")
+        keys[pack] = key
+        for level, exam_id in levels:
             if level not in _MANIFEST_LEVELS:
                 raise ConfigError(f"{where}: level must be one of {', '.join(_MANIFEST_LEVELS)}, got {level!r}")
             if not isinstance(exam_id, str):
                 raise ConfigError(f"{where}: id for level {level} must be a string, got {exam_id!r}")
-        manifest[(int(match[1]), match[2])] = {_MANIFEST_LEVELS[level]: exam_id for level, exam_id in levels.items()}
+        manifest[pack] = {_MANIFEST_LEVELS[level]: exam_id for level, exam_id in levels}
     return manifest
 
 

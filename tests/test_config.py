@@ -190,6 +190,14 @@ def test_checks_name_the_key(values, message):
         config_from_values(values)
 
 
+@pytest.mark.parametrize("key", ["corpus.path", "rubric.path", "output.dir"])
+def test_a_directory_key_must_not_be_empty(key):
+    # Path("") is the working directory.
+    with pytest.raises(ConfigError, match=f"^{key} must not be empty$"):
+        config_from_values(parse_config_text(f"{key} =\n"))
+    assert config_from_values(parse_config_text("corpus.exemplars =\n")).exemplars_path == ""
+
+
 def test_orderings_are_the_orchestrator_schemes():
     for scheme in ORDERINGS:
         assert config_from_values({"ordering": scheme}).ordering == scheme

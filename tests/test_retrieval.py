@@ -473,6 +473,12 @@ def test_word_count_embed_equals_the_token_by_token_embed_on_synthetic_bodies(sy
     assert [warm.embed(body) for body in synthetic_60_bodies] == expected
 
 
+def test_fallback_embedding_counts_in_ints(synthetic_60_bodies):
+    # Ints send every fallback-embedded pool down the index's integer path.
+    embedder = FallbackEmbedder()
+    assert {type(count) for body in synthetic_60_bodies for count in embedder.embed(body)} == {int}
+
+
 def test_no_code_point_is_both_whitespace_and_a_word_character():
     """The lemmas the word-count path rests on, checked against this
     interpreter's Unicode database: a whitespace character never matches
@@ -834,7 +840,7 @@ def _ranking(index, candidate, position):
 
 def _random_counts(seed, count, dim, high=4):
     rng = random.Random(seed)
-    return [tuple(float(rng.randint(0, high)) for _ in range(dim)) for _ in range(count)]
+    return [tuple(rng.randint(0, high) for _ in range(dim)) for _ in range(count)]
 
 
 def test_integer_path_serves_every_fallback_query(corpus_60_with_ties):
@@ -849,8 +855,8 @@ def test_integer_path_serves_every_fallback_query(corpus_60_with_ties):
 
 @pytest.mark.parametrize(
     "odd_vector",
-    [(1.0, -1.0, 2.0, 0.0), (1.0, 0.5, 2.0, 0.0), (1, 3, 2, 0)],
-    ids=["negative", "fractional", "int"],
+    [(1, -1, 2, 0), (1.0, 0.5, 2.0, 0.0), (1.0, 3.0, 2.0, 0.0)],
+    ids=["negative", "fractional", "whole-float"],
 )
 def test_pool_with_an_odd_vector_takes_the_float_path(odd_vector):
     vectors = _random_counts("float-path", 12, 4)
@@ -875,10 +881,50 @@ def test_pool_with_squared_norms_past_2_53_takes_the_float_path():
         assert _ranking(index, candidate, 1) == _table_scan(corpus, table, candidate, 1)
 
 
+def test_int_pool_with_squared_norms_past_2_53_takes_the_integer_path():
+    # The pair above as ints: ints are exact at any size, so the packed dot
+    # products equal the oracle's int sums.
+    big = 2**27 + 1
+    vectors = _random_counts("past-2-53", 6, 4) + [(big, 1, 0, 0), (big, 2, 0, 0)]
+    corpus, table = _table_corpus(vectors)
+    index = TaskTextIndex.build(corpus, _TableEmbedder(table))
+    pool = index._pools[(2023, "pack-a", 1)]
+    assert pool.columns and pool.slot == 8
+    assert big**2 + 4 > 2**53
+    for candidate in corpus.records:
+        assert _ranking(index, candidate, 1) == _table_scan(corpus, table, candidate, 1)
+
+
+# Counts of 0-2 make many exact ties; counts up to 2**20 keep every squared
+# norm, even of a doubled 8-dimensional vector, below 2**53, where whole
+# floats sum exactly.
+_DRAWN_COUNT = st.one_of(st.integers(0, 2), st.integers(0, 2**20))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(1, 8).flatmap(lambda dim: st.lists(st.tuples(*[_DRAWN_COUNT] * dim).filter(any), min_size=2, max_size=8)),
+    st.data(),
+)
+def test_int_pool_and_its_whole_float_copy_rank_alike(vectors, data):
+    # Copies and doubled copies of drawn vectors: duplicates and exact ties.
+    copies = data.draw(st.lists(st.tuples(st.sampled_from(vectors), st.sampled_from([1, 2])), min_size=1, max_size=4))
+    vectors = vectors + [tuple(scale * count for count in vector) for vector, scale in copies]
+    rankings = []
+    for table_vectors, packed in ((vectors, True), ([tuple(map(float, vector)) for vector in vectors], False)):
+        corpus, table = _table_corpus(table_vectors)
+        index = TaskTextIndex.build(corpus, _TableEmbedder(table))
+        assert bool(index._pools[(2023, "pack-a", 1)].columns) == packed
+        ranking = [_ranking(index, candidate, 1) for candidate in corpus.records]
+        assert ranking == [_table_scan(corpus, table, candidate, 1) for candidate in corpus.records]
+        rankings.append(ranking)
+    assert rankings[0] == rankings[1]
+
+
 def test_integer_path_with_counts_past_a_32_bit_slot():
     vectors = _random_counts("big-counts", 16, 8)
     for i in (2, 7, 11):
-        vectors[i] = (70_000.0,) + vectors[i][1:]
+        vectors[i] = (70_000,) + vectors[i][1:]
     vectors[4] = vectors[7]
     corpus, table = _table_corpus(vectors)
     index = TaskTextIndex.build(corpus, _TableEmbedder(table))
@@ -890,14 +936,14 @@ def test_integer_path_with_counts_past_a_32_bit_slot():
 
 
 def _squares_summing_to(total, dim):
-    """Whole numbers, padded with zeros to ``dim``, whose squares sum to ``total``."""
+    """Ints, padded with zeros to ``dim``, whose squares sum to ``total``."""
     parts = []
     while total:
         root = math.isqrt(total)
-        parts.append(float(root))
+        parts.append(root)
         total -= root * root
     assert len(parts) <= dim
-    return tuple(parts) + (0.0,) * (dim - len(parts))
+    return tuple(parts) + (0,) * (dim - len(parts))
 
 
 @pytest.mark.parametrize(

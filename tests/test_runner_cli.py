@@ -781,6 +781,15 @@ def _manifest_config(tmp_path, synthetic_dirs_25, manifest) -> tuple[Path, Path]
         ({"2023/pack-a": {"1": 7}}, "'2023/pack-a'"),
         ('{"2023/pack-a": {"1": "exam-001"}', "not valid JSON"),
         (b'\xff\xfe{"2023/pack-a": {"1": "exam-001"}}', "exemplar manifest is not UTF-8"),
+        # One pack named twice: the later key would replace the earlier.
+        (
+            {"2023/pack-a": {"1": "exam-001"}, "02023/pack-a": {"1": "exam-003"}},
+            "exemplar manifest keys '2023/pack-a' and '02023/pack-a' name one pack",
+        ),
+        (
+            '{"2023/pack-a": {"1": "exam-001"}, "2023/pack-a": {"1": "exam-003"}}',
+            "exemplar manifest keys '2023/pack-a' and '2023/pack-a' name one pack",
+        ),
     ],
 )
 def test_cli_context_rejects_malformed_exemplar_manifest(manifest, named, synthetic_dirs_25, tmp_path, capsys):
@@ -1037,6 +1046,21 @@ def test_cli_empty_corpus_is_fatal(command, synthetic_dirs_25, tmp_path, capsys)
     argv = [command, "--config", str(config_file)] + (["--candidate", "exam-001"] if command == "context" else [])
     assert main(argv) == 2
     assert f"no usable exams in {empty}" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_an_empty_output_dir(synthetic_dirs_25, tmp_path, monkeypatch, capsys):
+    # An empty output.dir would write the run's artifacts into the working
+    # directory.
+    exam_dir, rubric_dir = synthetic_dirs_25
+    config_file = _context_config(tmp_path, exam_dir, rubric_dir)
+    with config_file.open("a", encoding="utf-8") as handle:
+        handle.write("output.dir =\n")
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    assert main(["run", "--config", str(config_file)]) == 2
+    assert capsys.readouterr().err == f"error: {config_file}: output.dir must not be empty\n"
+    assert list(workdir.iterdir()) == []
 
 
 @pytest.mark.parametrize(
